@@ -7,8 +7,11 @@
 //! streaming, per-packet estimator that is
 //!
 //! 1. fitted once on the training sets ([`ChannelEstimator::fit`]),
-//! 2. asked for an [`Estimate`] before each test packet is decoded
-//!    ([`ChannelEstimator::estimate`]), and
+//! 2. asked for an [`Estimate`] before each test packet is decoded, in two
+//!    phases: [`ChannelEstimator::plan`] returns the estimate or the VVD
+//!    forward pass it still needs, and [`ChannelEstimator::finish`] turns
+//!    that pass's output into the estimate ([`ChannelEstimator::estimate`]
+//!    runs both, predicting inline), and
 //! 3. fed the packet's ground-truth observation afterwards
 //!    ([`ChannelEstimator::observe`]) — the "semi-blind" operation of
 //!    Sec. 5.3 in which the estimate for packet `k` never looks at packet
@@ -27,7 +30,7 @@
 //! An estimator instance is single-use: `fit` is called exactly once before
 //! the test set is streamed, `observe` is called once per test packet in
 //! transmission order (including warm-up packets that are never scored), and
-//! `estimate` may be skipped for packets the harness does not score.  Two
+//! `plan` may be skipped for packets the harness does not score.  Two
 //! estimators never share *mutable* state — when two techniques need the
 //! same expensive artefact (a trained VVD network), the [`VvdModelPool`]
 //! trains it once through a content-addressed [`ModelCache`] and hands each
@@ -267,8 +270,8 @@ pub struct EstimateRequest<'a> {
     pub frames: &'a dyn FrameSource,
 }
 
-/// The outcome of [`ChannelEstimator::estimate`] for one packet: the tap
-/// vector plus the equalizer policy and the availability of the estimate.
+/// The estimate for one packet: the tap vector plus the equalizer policy
+/// and the availability of the estimate.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Estimate {
     /// Decode with the plain IEEE 802.15.4 receiver: no estimate, no
@@ -295,22 +298,31 @@ pub enum Estimate {
     },
 }
 
-/// A VVD forward pass an estimator would run for the packet about to be
-/// decoded, surfaced through [`ChannelEstimator::vvd_plan`] so that serving
-/// layers can coalesce same-model plans from *many* concurrent estimator
-/// instances into one [`VvdModel::predict_batch`] call.
+/// A VVD forward pass an estimator needs for the packet about to be
+/// decoded, returned by [`ChannelEstimator::plan`] so that serving layers
+/// can coalesce same-model plans from *many* concurrent estimator instances
+/// into one [`VvdModel::predict_batch`] call.
 ///
 /// The model is `Arc`-shared (cloning is a refcount bump) and carries its
 /// training-provenance [`ModelKey`] — the batch grouping key: plans whose
 /// models share a key are interchangeable, since equal provenance implies
 /// bit-identical weights.
 pub struct VvdInferencePlan {
-    /// The trained model the estimator would run.
+    /// The trained model to run.
     pub model: VvdModel,
     /// Index of the input frame in the request's
     /// [`frames`](EstimateRequest::frames) source, with the estimator's lag
     /// already applied.
     pub frame_index: usize,
+}
+
+/// The first phase of estimating one packet ([`ChannelEstimator::plan`]).
+pub enum Step {
+    /// The estimate is final.
+    Done(Estimate),
+    /// The estimate needs one VVD forward pass: run the plan and hand its
+    /// output to [`ChannelEstimator::finish`].
+    NeedsVvd(VvdInferencePlan),
 }
 
 impl Estimate {
@@ -338,90 +350,61 @@ impl Estimate {
 /// See the [module documentation](self) for the state lifecycle contract.
 pub trait ChannelEstimator: Send {
     /// Fits the estimator on the training sets.  Called exactly once,
-    /// before any `observe`/`estimate` call.  The default is a no-op for
+    /// before any `observe`/`plan` call.  The default is a no-op for
     /// estimators that need no training.
     fn fit(&mut self, ctx: &TrainingContext<'_>) {
         let _ = ctx;
     }
 
     /// Feeds the ground truth of the packet that was just processed.
-    /// Called once per test packet in transmission order, after
-    /// [`ChannelEstimator::estimate`] (when it ran) for the same packet.
-    /// The default is a no-op for stateless estimators.
+    /// Called once per test packet in transmission order, after the
+    /// packet's estimate (when it was asked for).  The default is a no-op
+    /// for stateless estimators.
     fn observe(&mut self, obs: &PacketObservation<'_>) {
         let _ = obs;
     }
 
-    /// Produces the channel estimate for the packet about to be decoded.
+    /// Phase 1 of estimating the packet about to be decoded: the final
+    /// estimate, or the VVD forward pass it still needs.
+    ///
     /// May be skipped by the harness for packets that are not scored
     /// (warm-up), so implementations must keep their estimation state in
     /// [`ChannelEstimator::observe`] (internal scratch buffers are fine
-    /// here).
-    fn estimate(&mut self, req: &EstimateRequest<'_>) -> Estimate;
+    /// here).  A [`Step::NeedsVvd`] is always followed by
+    /// [`finish`](ChannelEstimator::finish) for the same request, before
+    /// the next `observe`.  Serving layers collect the plans of many
+    /// estimators and run one [`VvdModel::predict_batch`] per model;
+    /// `predict_batch` is bit-identical to per-image prediction, so the
+    /// batched path produces exactly the estimates the inline one would.
+    fn plan(&mut self, req: &EstimateRequest<'_>) -> Step;
+
+    /// Phase 2: the estimate, given the output of the forward pass `plan`
+    /// returned for the same request.
+    ///
+    /// # Panics
+    /// The default panics: only estimators that return
+    /// [`Step::NeedsVvd`] are ever asked to finish.
+    fn finish(&mut self, req: &EstimateRequest<'_>, prediction: FirFilter) -> Estimate {
+        let _ = (req, prediction);
+        panic!("finish() called on an estimator that never plans a VVD forward pass")
+    }
+
+    /// Both phases in one call, running any planned forward pass inline.
+    fn estimate(&mut self, req: &EstimateRequest<'_>) -> Estimate {
+        match self.plan(req) {
+            Step::Done(estimate) => estimate,
+            Step::NeedsVvd(plan) => {
+                let prediction = plan.model.predict_cir(req.frames.frame(plan.frame_index));
+                self.finish(req, prediction)
+            }
+        }
+    }
 
     /// `true` when [`PacketObservation::preamble_estimate`] must be
     /// populated (it costs a waveform regeneration + LS fit per packet, so
     /// it is opt-in).
     fn wants_preamble_observations(&self) -> bool {
         false
-    }
-
-    /// `true` when [`estimate`](ChannelEstimator::estimate) for this
-    /// request would *defer* — return [`Estimate::Skip`] or
-    /// [`Estimate::Lost`] instead of producing an estimate or decoding.
-    ///
-    /// A pure lookahead (no state changes) that combinators use to plan
-    /// batched work only for the arm that will actually run: a fallback
-    /// whose primary will produce an estimate must not pay for its
-    /// secondary's NN forward pass.  Implementations must answer exactly
-    /// what `estimate` would do for the same request and state; the
-    /// conservative default (`false` — "I will produce") only ever costs
-    /// missed batching opportunities, never correctness, because an arm
-    /// that receives no prediction computes inline.
-    fn would_defer(&self, req: &EstimateRequest<'_>) -> bool {
-        let _ = req;
-        false
-    }
-
-    /// The VVD forward pass this estimator would run inside
-    /// [`estimate`](ChannelEstimator::estimate) for this packet, if any.
-    ///
-    /// This is the *batched-inference hook*: a serving layer calls it for
-    /// every concurrent session before decoding a tick's packets, groups
-    /// the returned plans by the model's content key, runs one
-    /// [`VvdModel::predict_batch`] per group, and hands each estimator its
-    /// prediction back through
-    /// [`estimate_with_vvd`](ChannelEstimator::estimate_with_vvd) —
-    /// amortising the NN forward pass that dominates per-packet cost.
-    /// `predict_batch` is bit-identical to per-image prediction, so the
-    /// batched path produces exactly the estimates the unbatched one would.
-    ///
-    /// Must be pure (no state changes) and consistent with `estimate`: a
-    /// returned plan describes exactly the prediction `estimate` would
-    /// compute itself.  The default (for estimators that never run a VVD
-    /// network) is `None`.  Combinators expose at most the plan of one arm
-    /// and are responsible for routing the prediction back to that arm.
-    fn vvd_plan(&self, req: &EstimateRequest<'_>) -> Option<VvdInferencePlan> {
-        let _ = req;
-        None
-    }
-
-    /// [`estimate`](ChannelEstimator::estimate) with an externally computed
-    /// VVD prediction — the output of the forward pass this estimator
-    /// planned via [`vvd_plan`](ChannelEstimator::vvd_plan) for the *same*
-    /// request.
-    ///
-    /// Passing `Some(prediction)` is only valid when `vvd_plan` returned a
-    /// plan for this request and `prediction` is that plan's model output;
-    /// with `None` (or for estimators without a plan) this is exactly
-    /// `estimate`.
-    fn estimate_with_vvd(
-        &mut self,
-        req: &EstimateRequest<'_>,
-        prediction: Option<&FirFilter>,
-    ) -> Estimate {
-        let _ = prediction;
-        self.estimate(req)
     }
 
     /// Exports the estimator's *streaming* state — everything `observe`
@@ -485,8 +468,8 @@ pub trait ChannelEstimator: Send {
 pub struct Standard;
 
 impl ChannelEstimator for Standard {
-    fn estimate(&mut self, _req: &EstimateRequest<'_>) -> Estimate {
-        Estimate::Bypass
+    fn plan(&mut self, _req: &EstimateRequest<'_>) -> Step {
+        Step::Done(Estimate::Bypass)
     }
 }
 
@@ -496,8 +479,8 @@ impl ChannelEstimator for Standard {
 pub struct GroundTruth;
 
 impl ChannelEstimator for GroundTruth {
-    fn estimate(&mut self, req: &EstimateRequest<'_>) -> Estimate {
-        Estimate::phased(req.perfect_cir.clone())
+    fn plan(&mut self, req: &EstimateRequest<'_>) -> Step {
+        Step::Done(Estimate::phased(req.perfect_cir.clone()))
     }
 }
 
@@ -525,28 +508,12 @@ impl Preamble {
 }
 
 impl ChannelEstimator for Preamble {
-    fn would_defer(&self, req: &EstimateRequest<'_>) -> bool {
-        if self.genie {
-            req.preamble_estimate.is_none()
-        } else {
-            !req.preamble_detected || req.preamble_estimate.is_none()
-        }
-    }
-
-    fn estimate(&mut self, req: &EstimateRequest<'_>) -> Estimate {
-        if self.genie {
-            match req.preamble_estimate {
-                Some(est) => Estimate::phased(est.clone()),
-                None => Estimate::Skip,
-            }
-        } else if !req.preamble_detected {
-            Estimate::Lost
-        } else {
-            match req.preamble_estimate {
-                Some(est) => Estimate::phased(est.clone()),
-                None => Estimate::Lost,
-            }
-        }
+    fn plan(&mut self, req: &EstimateRequest<'_>) -> Step {
+        Step::Done(match req.preamble_estimate {
+            Some(est) if self.genie || req.preamble_detected => Estimate::phased(est.clone()),
+            _ if self.genie => Estimate::Skip,
+            _ => Estimate::Lost,
+        })
     }
 }
 
@@ -582,10 +549,6 @@ impl Previous {
 }
 
 impl ChannelEstimator for Previous {
-    fn would_defer(&self, _req: &EstimateRequest<'_>) -> bool {
-        self.history.len() < self.lag
-    }
-
     fn observe(&mut self, obs: &PacketObservation<'_>) {
         self.history.push_back(obs.perfect_cir.clone());
         if self.history.len() > self.lag {
@@ -593,11 +556,12 @@ impl ChannelEstimator for Previous {
         }
     }
 
-    fn estimate(&mut self, _req: &EstimateRequest<'_>) -> Estimate {
-        if self.history.len() < self.lag {
-            return Estimate::Skip;
-        }
-        Estimate::aligned(self.history.front().expect("non-empty history").clone())
+    fn plan(&mut self, _req: &EstimateRequest<'_>) -> Step {
+        Step::Done(if self.history.len() < self.lag {
+            Estimate::Skip
+        } else {
+            Estimate::aligned(self.history.front().expect("non-empty history").clone())
+        })
     }
 
     fn save_state(&self) -> EstimatorState {
@@ -674,8 +638,8 @@ impl ChannelEstimator for Kalman {
             .observe(obs.aligned_cir);
     }
 
-    fn estimate(&mut self, _req: &EstimateRequest<'_>) -> Estimate {
-        Estimate::aligned(self.filter().predicted_cir())
+    fn plan(&mut self, _req: &EstimateRequest<'_>) -> Step {
+        Step::Done(Estimate::aligned(self.filter().predicted_cir()))
     }
 
     fn save_state(&self) -> EstimatorState {
@@ -746,50 +710,23 @@ impl ChannelEstimator for Vvd {
         self.model = Some(ctx.vvd().model(self.variant));
     }
 
-    fn estimate(&mut self, req: &EstimateRequest<'_>) -> Estimate {
+    fn plan(&mut self, req: &EstimateRequest<'_>) -> Step {
         let lag = self.lag_frames();
         let model = self
             .model
             .as_ref()
             .expect("VVD estimator used before fit()");
         if req.frame_index < lag {
-            return Estimate::Skip;
+            return Step::Done(Estimate::Skip);
         }
-        let image = req.frames.frame(req.frame_index - lag);
-        Estimate::aligned(model.predict_cir(image))
-    }
-
-    fn would_defer(&self, req: &EstimateRequest<'_>) -> bool {
-        req.frame_index < self.lag_frames()
-    }
-
-    fn vvd_plan(&self, req: &EstimateRequest<'_>) -> Option<VvdInferencePlan> {
-        let lag = self.lag_frames();
-        let model = self
-            .model
-            .as_ref()
-            .expect("VVD estimator used before fit()");
-        if req.frame_index < lag {
-            return None;
-        }
-        Some(VvdInferencePlan {
+        Step::NeedsVvd(VvdInferencePlan {
             model: model.clone(),
             frame_index: req.frame_index - lag,
         })
     }
 
-    fn estimate_with_vvd(
-        &mut self,
-        req: &EstimateRequest<'_>,
-        prediction: Option<&FirFilter>,
-    ) -> Estimate {
-        match prediction {
-            // The batched forward pass already ran; its output is exactly
-            // what `estimate` would have computed (predict_batch is
-            // bit-identical to per-image prediction).
-            Some(cir) => Estimate::aligned(cir.clone()),
-            None => self.estimate(req),
-        }
+    fn finish(&mut self, _req: &EstimateRequest<'_>, prediction: FirFilter) -> Estimate {
+        Estimate::aligned(prediction)
     }
 
     fn uses_camera(&self) -> bool {
@@ -836,6 +773,8 @@ impl ChannelEstimator for Vvd {
 ///
 /// A primary [`Estimate::Lost`] or [`Estimate::Skip`] defers to the
 /// secondary; whatever the secondary returns (including `Skip`) is final.
+/// The secondary is only planned when the primary defers, so a fallback
+/// never asks for a forward pass whose output would be thrown away.
 ///
 /// One deliberate edge-case difference from the pre-registry harness: when
 /// the preamble is *detected* but its LS fit fails, the old combined arms
@@ -847,12 +786,19 @@ impl ChannelEstimator for Vvd {
 pub struct Fallback {
     primary: BoxedEstimator,
     secondary: BoxedEstimator,
+    /// Whether the last `plan` came from the secondary, i.e. which arm
+    /// `finish` owes the prediction to.
+    secondary_planned: bool,
 }
 
 impl Fallback {
     /// Combines two estimators.
     pub fn new(primary: BoxedEstimator, secondary: BoxedEstimator) -> Self {
-        Fallback { primary, secondary }
+        Fallback {
+            primary,
+            secondary,
+            secondary_planned: false,
+        }
     }
 }
 
@@ -867,43 +813,25 @@ impl ChannelEstimator for Fallback {
         self.secondary.observe(obs);
     }
 
-    fn estimate(&mut self, req: &EstimateRequest<'_>) -> Estimate {
-        match self.primary.estimate(req) {
+    fn plan(&mut self, req: &EstimateRequest<'_>) -> Step {
+        match self.primary.plan(req) {
+            Step::Done(Estimate::Skip | Estimate::Lost) => {
+                self.secondary_planned = true;
+                self.secondary.plan(req)
+            }
+            step => {
+                self.secondary_planned = false;
+                step
+            }
+        }
+    }
+
+    fn finish(&mut self, req: &EstimateRequest<'_>, prediction: FirFilter) -> Estimate {
+        if self.secondary_planned {
+            return self.secondary.finish(req, prediction);
+        }
+        match self.primary.finish(req, prediction) {
             Estimate::Skip | Estimate::Lost => self.secondary.estimate(req),
-            available => available,
-        }
-    }
-
-    fn would_defer(&self, req: &EstimateRequest<'_>) -> bool {
-        self.primary.would_defer(req) && self.secondary.would_defer(req)
-    }
-
-    fn vvd_plan(&self, req: &EstimateRequest<'_>) -> Option<VvdInferencePlan> {
-        // Plan only for the arm that will actually run: when the primary
-        // will produce an estimate, the secondary's NN forward pass would
-        // be computed and discarded — the lookahead suppresses it.
-        if self.primary.would_defer(req) {
-            self.secondary.vvd_plan(req)
-        } else {
-            self.primary.vvd_plan(req)
-        }
-    }
-
-    fn estimate_with_vvd(
-        &mut self,
-        req: &EstimateRequest<'_>,
-        prediction: Option<&FirFilter>,
-    ) -> Estimate {
-        // Route the prediction to the arm `vvd_plan` planned for — the
-        // same pure condition, so the routing cannot disagree with the
-        // planning.
-        let (for_primary, for_secondary) = if self.primary.would_defer(req) {
-            (None, prediction)
-        } else {
-            (prediction, None)
-        };
-        match self.primary.estimate_with_vvd(req, for_primary) {
-            Estimate::Skip | Estimate::Lost => self.secondary.estimate_with_vvd(req, for_secondary),
             available => available,
         }
     }
@@ -958,21 +886,6 @@ impl AgedPreamble {
 }
 
 impl ChannelEstimator for AgedPreamble {
-    fn would_defer(&self, req: &EstimateRequest<'_>) -> bool {
-        if self.lag == 0 {
-            req.preamble_estimate.is_none()
-        } else if self.history.len() < self.lag {
-            // Still warming up: `estimate` skips until the history is as
-            // deep as the lag, even though a front entry may exist.
-            true
-        } else {
-            match self.history.front() {
-                Some(est) => est.is_none(),
-                None => true,
-            }
-        }
-    }
-
     fn observe(&mut self, obs: &PacketObservation<'_>) {
         if self.lag == 0 {
             return;
@@ -983,23 +896,24 @@ impl ChannelEstimator for AgedPreamble {
         }
     }
 
-    fn estimate(&mut self, req: &EstimateRequest<'_>) -> Estimate {
-        if self.lag == 0 {
+    fn plan(&mut self, req: &EstimateRequest<'_>) -> Step {
+        Step::Done(if self.lag == 0 {
             // The fresh estimate carries the current packet's phase.
-            return match req.preamble_estimate {
+            match req.preamble_estimate {
                 Some(est) => Estimate::phased(est.clone()),
                 None => Estimate::Skip,
-            };
-        }
-        if self.history.len() < self.lag {
-            return Estimate::Skip;
-        }
-        match self.history.front().expect("non-empty history") {
-            // An estimate from another packet needs the Eq.-8 alignment:
-            // the crystal phase of the current packet differs.
-            Some(est) => Estimate::aligned(est.clone()),
-            None => Estimate::Skip,
-        }
+            }
+        } else if self.history.len() < self.lag {
+            Estimate::Skip
+        } else {
+            match self.history.front().expect("non-empty history") {
+                // An estimate from another packet needs the Eq.-8
+                // alignment: the crystal phase of the current packet
+                // differs.
+                Some(est) => Estimate::aligned(est.clone()),
+                None => Estimate::Skip,
+            }
+        })
     }
 
     fn wants_preamble_observations(&self) -> bool {
@@ -1041,12 +955,8 @@ impl ChannelEstimator for AgedPreamble {
 pub struct Inactive;
 
 impl ChannelEstimator for Inactive {
-    fn would_defer(&self, _req: &EstimateRequest<'_>) -> bool {
-        true
-    }
-
-    fn estimate(&mut self, _req: &EstimateRequest<'_>) -> Estimate {
-        Estimate::Skip
+    fn plan(&mut self, _req: &EstimateRequest<'_>) -> Step {
+        Step::Done(Estimate::Skip)
     }
 }
 
@@ -1257,8 +1167,16 @@ mod tests {
         cfg
     }
 
+    /// Runs a planned forward pass the way a serving layer would.
+    fn predict(step: Step, frames: &dyn FrameSource) -> FirFilter {
+        match step {
+            Step::NeedsVvd(plan) => plan.model.predict_cir(frames.frame(plan.frame_index)),
+            Step::Done(estimate) => panic!("expected a forward pass, got {estimate:?}"),
+        }
+    }
+
     #[test]
-    fn vvd_plan_and_injected_prediction_match_the_inline_estimate() {
+    fn planned_prediction_matches_the_inline_estimate() {
         let ds = tiny_vvd_dataset();
         let cfg = tiny_vvd_config();
         let source = FixedSource(ds.clone());
@@ -1277,22 +1195,22 @@ mod tests {
             frames: &frames,
         };
 
-        let plan = vvd.vvd_plan(&req).expect("a frame is available");
-        assert_eq!(plan.frame_index, 2, "Current variant has no frame lag");
+        match vvd.plan(&req) {
+            Step::NeedsVvd(plan) => assert_eq!(plan.frame_index, 2, "Current has no frame lag"),
+            Step::Done(estimate) => panic!("a frame is available, got {estimate:?}"),
+        }
         // The plan's model is the fitted one (Arc-shared, same provenance).
-        let prediction = plan.model.predict_cir(frames.frame(plan.frame_index));
+        let prediction = predict(vvd.plan(&req), &frames);
         assert_eq!(
-            vvd.estimate_with_vvd(&req, Some(&prediction)),
+            vvd.finish(&req, prediction),
             vvd.estimate(&req),
-            "an injected planned prediction must reproduce the inline path"
+            "finishing a planned prediction must reproduce the inline path"
         );
 
-        // Before enough frames exist the estimator neither plans nor
-        // estimates.
+        // Before enough frames exist the estimator skips without planning.
         let mut aged = Vvd::aged(VvdVariant::Current, 5);
         aged.fit(&TrainingContext::new(&[]).with_vvd(&pool));
-        assert!(aged.vvd_plan(&req).is_none());
-        assert_eq!(aged.estimate_with_vvd(&req, None), Estimate::Skip);
+        assert!(matches!(aged.plan(&req), Step::Done(Estimate::Skip)));
     }
 
     #[test]
@@ -1306,9 +1224,9 @@ mod tests {
         let perfect = cir(1.0);
         let pre = cir(0.5);
 
-        // When the preamble primary will produce an estimate, the VVD
-        // arm's forward pass is pure waste — the lookahead suppresses the
-        // plan entirely, and the primary wins untouched.
+        // When the preamble primary produces an estimate, the VVD arm is
+        // never planned: no forward pass is asked for, and the primary
+        // wins untouched.
         let mut combined = Fallback::new(
             Box::new(Preamble::detected()),
             Box::new(Vvd::new(VvdVariant::Current)),
@@ -1322,14 +1240,10 @@ mod tests {
             frame_index: 1,
             frames: &frames,
         };
-        assert!(
-            combined.vvd_plan(&detected).is_none(),
-            "no NN work is planned when the primary will produce"
-        );
-        assert_eq!(
-            combined.estimate_with_vvd(&detected, None),
-            Estimate::phased(pre.clone())
-        );
+        match combined.plan(&detected) {
+            Step::Done(estimate) => assert_eq!(estimate, Estimate::phased(pre.clone())),
+            Step::NeedsVvd(_) => panic!("no NN work is planned when the primary produces"),
+        }
 
         // When the primary defers (missed preamble), the VVD arm plans —
         // and consumes the batch-computed prediction.
@@ -1337,13 +1251,10 @@ mod tests {
             preamble_detected: false,
             ..detected
         };
-        let plan = combined
-            .vvd_plan(&missed)
-            .expect("the VVD arm plans when the primary defers");
-        let prediction = plan.model.predict_cir(frames.frame(plan.frame_index));
+        let prediction = predict(combined.plan(&missed), &frames);
         assert_eq!(
-            combined.estimate_with_vvd(&missed, Some(&prediction)),
-            Estimate::aligned(prediction.clone())
+            combined.finish(&missed, prediction.clone()),
+            Estimate::aligned(prediction)
         );
 
         // Primary plans: the prediction goes to the first arm.
@@ -1352,91 +1263,24 @@ mod tests {
             Box::new(GroundTruth),
         );
         vvd_first.fit(&ctx);
+        let prediction = predict(vvd_first.plan(&missed), &frames);
         assert_eq!(
-            vvd_first.estimate_with_vvd(&missed, Some(&prediction)),
-            Estimate::aligned(prediction.clone())
+            vvd_first.finish(&missed, prediction.clone()),
+            Estimate::aligned(prediction)
         );
-    }
 
-    #[test]
-    fn would_defer_answers_exactly_what_estimate_does() {
-        let perfect = cir(1.0);
-        let pre = cir(0.5);
-        let frames = NoFrames;
-        let requests = [
-            request(&frames, &perfect, Some(&pre), true),
-            request(&frames, &perfect, Some(&pre), false),
-            request(&frames, &perfect, None, true),
-            request(&frames, &perfect, None, false),
-        ];
-        let mut estimators: Vec<(&str, BoxedEstimator)> = vec![
-            ("standard", Box::new(Standard)),
-            ("ground-truth", Box::new(GroundTruth)),
-            ("preamble", Box::new(Preamble::detected())),
-            ("preamble-genie", Box::new(Preamble::genie())),
-            ("previous-empty", Box::new(Previous::packets(2))),
-            ("aged-preamble-0", Box::new(AgedPreamble::packets(0))),
-            ("aged-preamble-empty", Box::new(AgedPreamble::packets(1))),
-            ("inactive", Box::new(Inactive)),
-            (
-                "fallback",
-                Box::new(Fallback::new(
-                    Box::new(Preamble::detected()),
-                    Box::new(Inactive),
-                )),
-            ),
-        ];
-        for (label, estimator) in &mut estimators {
-            for (i, req) in requests.iter().enumerate() {
-                let lookahead = estimator.would_defer(req);
-                let actual = matches!(estimator.estimate(req), Estimate::Skip | Estimate::Lost);
-                assert_eq!(
-                    lookahead, actual,
-                    "{label}: would_defer disagrees with estimate on request {i}"
-                );
-            }
-        }
-        // Stateful estimators whose answers change as they observe.
-        let mut prev = Previous::packets(1);
-        let req = request(&frames, &perfect, Some(&pre), true);
-        assert!(prev.would_defer(&req));
-        prev.observe(&PacketObservation {
-            perfect_cir: &perfect,
-            aligned_cir: &perfect,
-            preamble_estimate: None,
-        });
-        assert!(!prev.would_defer(&req));
-        assert!(matches!(prev.estimate(&req), Estimate::Ready { .. }));
-
-        // AgedPreamble through its whole state space: empty, partially
-        // filled (front exists but estimate still skips), full with a
-        // usable front, full with a failed-fit front.
-        let mut aged = AgedPreamble::packets(2);
-        let observations = [Some(&pre), Some(&pre), None];
-        for obs in observations {
-            assert_eq!(
-                aged.would_defer(&req),
-                matches!(aged.estimate(&req), Estimate::Skip | Estimate::Lost),
-                "aged preamble lookahead diverged at history depth {}",
-                aged.history.len()
-            );
-            aged.observe(&PacketObservation {
-                perfect_cir: &perfect,
-                aligned_cir: &perfect,
-                preamble_estimate: obs,
-            });
-        }
-        // Full history, successful front: produces.
-        assert!(!aged.would_defer(&req));
-        assert!(matches!(aged.estimate(&req), Estimate::Ready { .. }));
-        // One more failed-fit observation pushes the None to the front.
-        aged.observe(&PacketObservation {
-            perfect_cir: &perfect,
-            aligned_cir: &perfect,
-            preamble_estimate: None,
-        });
-        assert!(aged.would_defer(&req));
-        assert_eq!(aged.estimate(&req), Estimate::Skip);
+        // Nested: the outer fallback routes to the inner one, which routes
+        // to its own planning arm.
+        let mut nested = Fallback::new(
+            Box::new(Preamble::detected()),
+            Box::new(Fallback::new(
+                Box::new(Inactive),
+                Box::new(Vvd::new(VvdVariant::Current)),
+            )),
+        );
+        nested.fit(&ctx);
+        let prediction = predict(nested.plan(&missed), &frames);
+        assert_eq!(nested.finish(&missed, prediction), nested.estimate(&missed));
     }
 
     #[test]

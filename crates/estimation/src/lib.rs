@@ -62,7 +62,7 @@ pub use cache::{ModelCache, ModelCacheStats};
 pub use decode::{decode_with_estimate, decode_with_reference, EqualizerConfig};
 pub use estimator::{
     BoxedEstimator, ChannelEstimator, Estimate, EstimateRequest, FrameSource, PacketObservation,
-    TrainingContext, VvdDatasetSource, VvdInferencePlan, VvdModelPool,
+    Step, TrainingContext, VvdDatasetSource, VvdInferencePlan, VvdModelPool,
 };
 pub use kalman::KalmanChannelEstimator;
 pub use ls::{ls_estimate, perfect_estimate, preamble_estimate};

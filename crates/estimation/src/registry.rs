@@ -221,7 +221,7 @@ fn expect_no_args(head: &str, args: &str) -> Result<(), SpecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimator::{Estimate, EstimateRequest, FrameSource, PacketObservation};
+    use crate::estimator::{Estimate, EstimateRequest, FrameSource, PacketObservation, Step};
     use vvd_dsp::{Complex, FirFilter};
     use vvd_vision::DepthImage;
 
@@ -285,8 +285,8 @@ mod tests {
     fn custom_estimators_can_be_registered_and_composed() {
         struct Fixed(FirFilter);
         impl crate::estimator::ChannelEstimator for Fixed {
-            fn estimate(&mut self, _req: &EstimateRequest<'_>) -> Estimate {
-                Estimate::aligned(self.0.clone())
+            fn plan(&mut self, _req: &EstimateRequest<'_>) -> Step {
+                Step::Done(Estimate::aligned(self.0.clone()))
             }
         }
 

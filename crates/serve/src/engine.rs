@@ -92,7 +92,7 @@ pub struct ServeEngine {
     batches: BatchCounters,
     started: Stopwatch,
     phases: PhaseTimings,
-    /// Products the pipeline synthesized during the previous tick, waiting
+    /// Scans the pipeline computed during the previous tick, waiting
     /// to be stashed into their sessions when their tick starts.  Never
     /// checkpointed: the buffer is transient and recomputable, so a resume
     /// simply starts without one.
@@ -240,8 +240,8 @@ impl ServeEngine {
         if let Some(buffer) = self.prefetch.take() {
             if buffer.tick == tick {
                 let sessions = self.store.sessions_mut();
-                for (idx, product) in buffer.items {
-                    sessions[idx].stash_synthesized(product);
+                for (idx, scan) in buffer.items {
+                    sessions[idx].stash_scan(scan);
                 }
             }
         }

@@ -20,14 +20,14 @@
 //!   phase over `std::thread::scope` workers.
 //! * The **tick pipeline** (`VVD_PIPELINE`, on by default) — double
 //!   buffering across ticks: while tick T's coalesced batch infers, scope
-//!   threads synthesize tick T+1's estimator-independent DSP products
+//!   threads compute tick T+1's estimator-independent packet scans
 //!   (waveform regeneration + preamble LS), which the next prepare phase
 //!   consumes in tick order.  Pure scheduling: every digest is
 //!   bit-identical with the pipeline on or off, which the pipeline golden
 //!   pins at shard counts 1/2/8 and cluster sizes 1/2/4.
 //! * The **inference planner** (`BatchCounters` and friends) — coalesces
-//!   the NN forward passes all due sessions would run this tick, grouped
-//!   by the model's training-provenance
+//!   the NN forward passes the due sessions' estimators planned this tick,
+//!   grouped by the model's training-provenance
 //!   [`ModelKey`](vvd_core::ModelKey), into one
 //!   [`predict_batch`](vvd_core::VvdModel::predict_batch) call per
 //!   distinct model, amortising the cost that dominates per-packet CPU

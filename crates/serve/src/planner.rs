@@ -2,7 +2,7 @@
 //!
 //! After the prepare phase of a tick, every due session holds at most one
 //! [`VvdInferencePlan`](vvd_estimation::VvdInferencePlan): the NN forward
-//! pass its estimator would have run inline.  The planner groups those
+//! pass its estimator's `plan` asked for.  The planner groups those
 //! plans by the model's training-provenance [`ModelKey`] — equal keys mean
 //! bit-identical weights, so the plans are interchangeable — and issues
 //! *one* [`VvdModel::predict_batch`] call per distinct model per tick,

@@ -2,39 +2,34 @@
 //!
 //! One [`LinkSession`] is one tracked radio link — a fitted
 //! [`ChannelEstimator`](vvd_estimation::ChannelEstimator) streaming the
-//! packets of its campaign's test set in transmission order, exactly like
-//! the offline pipeline in `vvd_testbed::stream` does, but split into the
-//! two halves the engine interleaves across sessions:
+//! packets of its campaign's test set in transmission order through the
+//! offline pipeline's own [`PacketStep`], but split into the two halves the
+//! engine interleaves across sessions:
 //!
-//! 1. [`LinkSession::prepare`] — regenerate the due packet's received
-//!    waveform, fit its preamble LS estimate, and ask the estimator for its
-//!    [`VvdInferencePlan`] (the NN forward pass it would run inline);
-//! 2. [`LinkSession::complete`] — decode the packet with
-//!    `estimate_with_vvd` (consuming the batch-computed prediction, when
-//!    one was planned), score it, and feed the estimator its observation.
+//! 1. [`LinkSession::prepare`] — scan the due packet ([`PacketScan`]:
+//!    received waveform and preamble LS estimate) and run the estimator's
+//!    [`plan`](vvd_estimation::ChannelEstimator::plan), which either
+//!    settles the estimate or returns the NN forward pass it needs;
+//! 2. [`LinkSession::complete`] — hand a planned pass's batch-computed
+//!    output to [`finish`](vvd_estimation::ChannelEstimator::finish), then
+//!    run the step: decode, score, observe.
 //!
 //! Between the two halves the engine's planner coalesces all sessions'
-//! plans into per-model `predict_batch` calls.  Because batched prediction
-//! is bit-identical to per-image prediction and sessions share no mutable
-//! state, every session's trace is bit-identical to running that session
-//! alone through `vvd_testbed::stream::stream_estimators` — regardless of
-//! how many other sessions were in flight, in which order packets arrived,
-//! or how many shards the store ran on.
+//! forward passes into per-model `predict_batch` calls.  Because batched
+//! prediction is bit-identical to per-image prediction and sessions share
+//! no mutable state, every session's trace is bit-identical to running
+//! that session alone through `vvd_testbed::stream::stream_estimators` —
+//! regardless of how many other sessions were in flight, in which order
+//! packets arrived, or how many shards the store ran on.
 
 use crate::checkpoint::{CheckpointError, SessionCheckpoint};
 use std::sync::Arc;
 use vvd_core::VvdModel;
-use vvd_dsp::{CVec, FirFilter};
-use vvd_estimation::decode::decode_with_reference;
-use vvd_estimation::estimator::{
-    BoxedEstimator, Estimate, EstimateRequest, FrameSource, PacketObservation, VvdInferencePlan,
-};
-use vvd_estimation::ls::preamble_estimate;
-use vvd_estimation::phase::align_mean_phase;
-use vvd_estimation::EqualizerConfig;
-use vvd_phy::{DecodeOutcome, ModulatedFrame, Receiver};
-use vvd_testbed::stream::EstimatorTrace;
-use vvd_testbed::{Campaign, FrameRecord, SetCombination};
+use vvd_dsp::FirFilter;
+use vvd_estimation::estimator::{BoxedEstimator, Step};
+use vvd_estimation::FrameSource;
+use vvd_testbed::stream::{EstimatorTrace, PacketScan, PacketStep};
+use vvd_testbed::{Campaign, SetCombination};
 use vvd_vision::DepthImage;
 
 /// Declarative description of one link session of a workload.
@@ -87,70 +82,16 @@ impl SessionSpec {
     }
 }
 
-/// [`FrameSource`] over a measurement set's frame records (the serving
-/// counterpart of the private adapter in `vvd_testbed::stream`).
-struct SetFrames<'a>(&'a [FrameRecord]);
-
-impl FrameSource for SetFrames<'_> {
-    fn frame(&self, index: usize) -> &DepthImage {
-        &self.0[index].image
-    }
-    fn n_frames(&self) -> usize {
-        self.0.len()
-    }
-}
-
-/// The estimator-independent DSP products of one packet: its regenerated
-/// received waveform and preamble LS fit.
-///
-/// These are pure functions of the `Arc`-shared immutable campaign and the
-/// packet index — no estimator state involved — which is what lets the
-/// tick pipeline synthesize them for tick T+1 on scope threads while tick
-/// T's batch infers: whenever they are computed, the bits are the same.
-pub(crate) struct SynthesizedPacket {
-    /// The packet (cursor) index the products belong to.
-    pub packet_index: usize,
-    /// The regenerated transmitted frame.
-    pub tx: ModulatedFrame,
-    /// The regenerated received waveform.
-    pub received: CVec,
-    /// The preamble LS channel fit (when the solve succeeded).
-    pub preamble_est: Option<FirFilter>,
-}
-
-/// Regenerates packet DSP products from campaign data — the single
-/// synthesis routine shared by the inline [`LinkSession::prepare`] path
-/// and the pipelined prefetch path, so both produce identical bits by
-/// construction.
-pub(crate) fn synthesize_packet(
-    campaign: &Campaign,
-    set: usize,
-    record_index: usize,
-    taps: usize,
-    packet_index: usize,
-) -> SynthesizedPacket {
-    let (tx, received) = campaign.received_waveform(set, record_index);
-    let preamble_est = preamble_estimate(&tx, received.as_slice(), taps).ok();
-    SynthesizedPacket {
-        packet_index,
-        tx,
-        received,
-        preamble_est,
-    }
-}
-
 /// Everything [`LinkSession::prepare`] computed for the due packet, handed
 /// through the planner to [`LinkSession::complete`].
 struct PendingPacket {
-    packet_index: usize,
-    score: bool,
-    /// `(tx, received, preamble LS estimate)` — present iff the packet is
-    /// scored or the estimator wants preamble observations (mirroring the
-    /// regeneration policy of the offline streaming core).
-    regen: Option<(ModulatedFrame, CVec, Option<FirFilter>)>,
-    /// The NN forward pass the estimator would run inline, if any.
-    plan: Option<VvdInferencePlan>,
-    /// The batch-computed output of `plan`, injected by the planner.
+    /// Present iff the packet is scored or the estimator wants preamble
+    /// observations (the regeneration policy of the offline core).
+    scan: Option<PacketScan>,
+    /// The estimator's first phase, for scored packets.
+    planned: Option<Step>,
+    /// The batch-computed output of a planned forward pass, injected by
+    /// the planner.
     prediction: Option<FirFilter>,
 }
 
@@ -163,16 +104,15 @@ pub struct LinkSession {
     campaign: Arc<Campaign>,
     combination: SetCombination,
     estimator: BoxedEstimator,
-    wants_preamble: bool,
     score_from: usize,
     interval: u64,
     next_due: u64,
     cursor: usize,
     pending: Option<PendingPacket>,
-    /// DSP products the tick pipeline synthesized ahead of time for the
-    /// next due packet.  Transient and recomputable: never checkpointed,
-    /// consumed (or dropped) by the next [`prepare`](Self::prepare).
-    prefetched: Option<SynthesizedPacket>,
+    /// The scan the tick pipeline computed ahead of time for the next due
+    /// packet.  Transient and recomputable: never checkpointed, consumed
+    /// (or dropped) by the next [`prepare`](Self::prepare).
+    prefetched: Option<PacketScan>,
     trace: EstimatorTrace,
 }
 
@@ -195,7 +135,6 @@ impl LinkSession {
         interval: u64,
         offset: u64,
     ) -> Self {
-        let wants_preamble = estimator.wants_preamble_observations();
         LinkSession {
             id,
             scenario,
@@ -203,20 +142,13 @@ impl LinkSession {
             campaign,
             combination,
             estimator,
-            wants_preamble,
             score_from,
             interval: interval.max(1),
             next_due: offset,
             cursor: 0,
             pending: None,
             prefetched: None,
-            trace: EstimatorTrace {
-                label,
-                scored: Vec::new(),
-                estimates: Vec::new(),
-                truths: Vec::new(),
-                per_packet: Vec::new(),
-            },
+            trace: EstimatorTrace::new(label),
         }
     }
 
@@ -278,33 +210,26 @@ impl LinkSession {
         }
     }
 
-    /// `true` when packet `k` needs its waveform regenerated (it is scored
-    /// or the estimator consumes preamble observations) — the exact
-    /// condition [`prepare`](Self::prepare) regenerates under, exposed so
-    /// the pipeline only synthesizes products that will be consumed.
-    pub(crate) fn needs_regen(&self, k: usize) -> bool {
-        k >= self.score_from || self.wants_preamble
+    /// `true` when packet `k` needs a [`PacketScan`] — the exact condition
+    /// [`prepare`](Self::prepare) scans under, exposed so the pipeline only
+    /// prefetches scans that will be consumed.
+    pub(crate) fn needs_scan(&self, k: usize) -> bool {
+        PacketStep::new(&self.campaign, self.combination.test, self.score_from)
+            .needs_scan(k, self.estimator.wants_preamble_observations())
     }
 
-    /// The plain-data inputs a prefetch job needs to synthesize packet `k`
-    /// off-thread: `(campaign, test-set index, frame-record index, LS
-    /// taps)`.  All `Arc`-shared or `Copy`, so jobs never borrow the
-    /// session while the engine mutates it.
-    pub(crate) fn synth_inputs(&self, k: usize) -> (Arc<Campaign>, usize, usize, usize) {
-        let test_set = self.campaign.set(self.combination.test);
-        (
-            Arc::clone(&self.campaign),
-            self.combination.test,
-            test_set.packets[k].index,
-            self.campaign.config.equalizer.channel_taps,
-        )
+    /// What a prefetch job needs to scan one of the session's packets
+    /// off-thread: the `Arc`-shared campaign and the test-set index, so
+    /// jobs never borrow the session while the engine mutates it.
+    pub(crate) fn scan_inputs(&self) -> (Arc<Campaign>, usize) {
+        (Arc::clone(&self.campaign), self.combination.test)
     }
 
-    /// Hands the session a pipeline-synthesized product for its next due
-    /// packet; the next [`prepare`](Self::prepare) consumes it instead of
-    /// recomputing (or drops it if the index does not match).
-    pub(crate) fn stash_synthesized(&mut self, product: SynthesizedPacket) {
-        self.prefetched = Some(product);
+    /// Hands the session a pipeline-computed scan of its next due packet;
+    /// the next [`prepare`](Self::prepare) consumes it instead of
+    /// recomputing (or drops it if the packet does not match).
+    pub(crate) fn stash_scan(&mut self, scan: PacketScan) {
+        self.prefetched = Some(scan);
     }
 
     /// The accumulated trace (borrowed; see
@@ -393,8 +318,8 @@ impl LinkSession {
         Ok(())
     }
 
-    /// Phase 1 of serving the due packet: regenerate its waveform, fit the
-    /// preamble LS estimate, and record the estimator's inference plan.
+    /// Phase 1 of serving the due packet: scan it and run the estimator's
+    /// `plan`.
     ///
     /// # Panics
     /// Panics when no packet is due (the engine only calls this for due
@@ -406,174 +331,92 @@ impl LinkSession {
             "prepare() with an unconsumed pending packet"
         );
         let k = self.cursor;
-        let score = k >= self.score_from;
-        let test_set = self.campaign.set(self.combination.test);
-        let record = &test_set.packets[k];
-
-        let regen = if score || self.wants_preamble {
-            // Consume the pipeline-synthesized product when it matches;
-            // synthesize inline otherwise.  Both paths run the same
-            // routine on the same immutable inputs, so the bits are
-            // identical either way — prefetching is pure scheduling.
-            let product = match self.prefetched.take() {
-                Some(p) if p.packet_index == k => p,
-                _ => {
-                    let taps = self.campaign.config.equalizer.channel_taps;
-                    synthesize_packet(&self.campaign, self.combination.test, record.index, taps, k)
-                }
-            };
-            Some((product.tx, product.received, product.preamble_est))
-        } else {
-            self.prefetched = None;
-            None
+        let step = PacketStep::new(&self.campaign, self.combination.test, self.score_from);
+        // Consume the pipeline's prefetched scan when it matches; scan
+        // inline otherwise.  Both run `PacketScan::new` on the same
+        // immutable inputs, so prefetching is pure scheduling.
+        let prefetched = self.prefetched.take().filter(|scan| scan.packet() == k);
+        let scan = step
+            .needs_scan(k, self.estimator.wants_preamble_observations())
+            .then(|| {
+                prefetched
+                    .unwrap_or_else(|| PacketScan::new(&self.campaign, self.combination.test, k))
+            });
+        // Unscored (warm-up) packets are only observed, never estimated,
+        // exactly as offline.
+        let planned = match &scan {
+            Some(scan) if step.scored(k) => Some(self.estimator.plan(&step.request(scan))),
+            _ => None,
         };
-
-        // The inference plan is only collected for packets the engine will
-        // actually decode — unscored (warm-up) packets never call
-        // `estimate` in the offline pipeline either.
-        let plan = if score {
-            let (_, _, preamble_est) = regen.as_ref().expect("scored packets are regenerated");
-            let frames = SetFrames(&test_set.frames);
-            let request = EstimateRequest {
-                packet_index: k,
-                perfect_cir: &record.perfect_cir,
-                preamble_estimate: preamble_est.as_ref(),
-                preamble_detected: record.preamble_detected,
-                frame_index: record.frame_index,
-                frames: &frames,
-            };
-            self.estimator.vvd_plan(&request)
-        } else {
-            None
-        };
-
         self.pending = Some(PendingPacket {
-            packet_index: k,
-            score,
-            regen,
-            plan,
+            scan,
+            planned,
             prediction: None,
         });
     }
 
-    /// The pending inference plan, as `(model, input image)` — what the
+    /// The pending forward pass, as `(model, input image)` — what the
     /// planner groups by [`VvdModel::key`] into batched forward passes.
     pub(crate) fn pending_plan(&self) -> Option<(&VvdModel, &DepthImage)> {
-        let pending = self.pending.as_ref()?;
-        let plan = pending.plan.as_ref()?;
-        let test_set = self.campaign.set(self.combination.test);
-        Some((&plan.model, &test_set.frames[plan.frame_index].image))
+        match self.pending.as_ref()?.planned.as_ref()? {
+            Step::NeedsVvd(plan) => {
+                let test_set = self.campaign.set(self.combination.test);
+                Some((&plan.model, test_set.frame(plan.frame_index)))
+            }
+            Step::Done(_) => None,
+        }
     }
 
     /// Hands the session the batch-computed output of its pending plan.
     ///
     /// # Panics
-    /// Panics when no plan is pending — predictions must match plans
-    /// one-to-one.
+    /// Panics when no forward pass is pending — predictions must match
+    /// plans one-to-one.
     pub(crate) fn inject_prediction(&mut self, prediction: FirFilter) {
         let pending = self
             .pending
             .as_mut()
             .expect("inject_prediction() without a pending packet");
         assert!(
-            pending.plan.is_some(),
+            matches!(pending.planned, Some(Step::NeedsVvd(_))),
             "inject_prediction() without a pending plan"
         );
         pending.prediction = Some(prediction);
     }
 
-    /// Phase 2 of serving the due packet: decode (consuming the injected
-    /// prediction when one was planned), score, observe, advance.
-    ///
-    /// The per-packet arithmetic is copied from the offline streaming core
-    /// (`vvd_testbed::stream`), which is what makes serve traces
-    /// bit-comparable to [`stream_estimators`] ones.
+    /// Phase 2 of serving the due packet: finish a planned estimate with
+    /// the injected prediction, then decode, score and observe through the
+    /// offline pipeline's [`PacketStep`] — which is what makes serve traces
+    /// equal to [`stream_estimators`] ones.
     ///
     /// [`stream_estimators`]: vvd_testbed::stream::stream_estimators
     ///
     /// # Panics
-    /// Panics when [`prepare`](Self::prepare) has not run for this packet.
+    /// Panics when [`prepare`](Self::prepare) has not run for this packet,
+    /// or a planned forward pass received no prediction.
     pub fn complete(&mut self) {
-        let pending = self
+        let PendingPacket {
+            mut scan,
+            planned,
+            prediction,
+        } = self
             .pending
             .take()
             .expect("complete() without a prepared packet");
-        let k = pending.packet_index;
-        let cfg = &self.campaign.config;
-        let eq = cfg.equalizer;
-        let test_set = self.campaign.set(self.combination.test);
-        let record = &test_set.packets[k];
-        let frames = SetFrames(&test_set.frames);
-
-        if pending.score {
-            let receiver = Receiver::new(cfg.phy);
-            let (tx, received, preamble_est) = pending
-                .regen
-                .as_ref()
-                .expect("scored packets are regenerated");
-            let request = EstimateRequest {
-                packet_index: k,
-                perfect_cir: &record.perfect_cir,
-                preamble_estimate: preamble_est.as_ref(),
-                preamble_detected: record.preamble_detected,
-                frame_index: record.frame_index,
-                frames: &frames,
-            };
-            match self
-                .estimator
-                .estimate_with_vvd(&request, pending.prediction.as_ref())
-            {
-                Estimate::Bypass => {
-                    let offset = receiver.synchronize(received.as_slice(), tx).offset;
-                    let outcome = receiver.decode_standard(&received.as_slice()[offset..], tx);
-                    self.trace.scored.push(outcome);
-                    self.trace.per_packet.push(outcome);
-                }
-                Estimate::Ready { cir, align_phase } => {
-                    let config = EqualizerConfig {
-                        align_phase: align_phase && eq.align_phase,
-                        ..eq
-                    };
-                    let outcome = decode_with_reference(
-                        &receiver,
-                        tx,
-                        received.as_slice(),
-                        &cir,
-                        preamble_est.as_ref(),
-                        &config,
-                    );
-                    self.trace.scored.push(outcome);
-                    self.trace.per_packet.push(outcome);
-                    let aligned = match (config.align_phase, preamble_est.as_ref()) {
-                        (true, Some(reference)) => align_mean_phase(&cir, reference).0,
-                        _ => cir.clone(),
-                    };
-                    self.trace.estimates.push(aligned);
-                    self.trace.truths.push(record.perfect_cir.clone());
-                }
-                Estimate::Lost => {
-                    let outcome =
-                        DecodeOutcome::lost(tx.psdu_chips().len(), tx.frame.psdu_symbols().len());
-                    self.trace.scored.push(outcome);
-                    self.trace.per_packet.push(outcome);
-                }
-                Estimate::Skip => {
-                    self.trace.per_packet.push(DecodeOutcome::lost(0, 0));
-                }
-            }
-        }
-
-        let observation = PacketObservation {
-            perfect_cir: &record.perfect_cir,
-            aligned_cir: &record.aligned_cir,
-            preamble_estimate: if self.wants_preamble {
-                pending.regen.as_ref().and_then(|(_, _, pre)| pre.as_ref())
-            } else {
-                None
+        let step = PacketStep::new(&self.campaign, self.combination.test, self.score_from);
+        step.run(
+            self.cursor,
+            scan.as_mut(),
+            self.estimator.as_mut(),
+            &mut self.trace,
+            |estimator, request| match planned.expect("scored packets are planned") {
+                Step::Done(estimate) => estimate,
+                Step::NeedsVvd(_) => estimator.finish(
+                    request,
+                    prediction.expect("the planner injects every planned forward pass"),
+                ),
             },
-        };
-        self.estimator.observe(&observation);
-
+        );
         self.cursor += 1;
         self.next_due += self.interval;
     }

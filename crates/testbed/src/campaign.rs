@@ -38,6 +38,7 @@ use vvd_channel::scenario::{PacketChannel, PaperScenario, ScenarioRegistry, Spec
 use vvd_channel::{apply_channel, ChannelRealization, ChannelScenario, Room};
 use vvd_dsp::{CVec, Complex, FirFilter};
 use vvd_estimation::ls::perfect_estimate;
+use vvd_estimation::FrameSource;
 use vvd_phy::{modulate_frame, ModulatedFrame, PsduBuilder, Receiver};
 use vvd_vision::scene::{Aabb, Plane, Scene, Vec3, VerticalCylinder};
 use vvd_vision::{preprocess, render_depth, DepthImage, PinholeCamera, PreprocessConfig};
@@ -96,6 +97,15 @@ pub struct MeasurementSet {
     pub packets: Vec<PacketRecord>,
     /// Camera frames in capture order.
     pub frames: Vec<FrameRecord>,
+}
+
+impl FrameSource for MeasurementSet {
+    fn frame(&self, index: usize) -> &DepthImage {
+        &self.frames[index].image
+    }
+    fn n_frames(&self) -> usize {
+        self.frames.len()
+    }
 }
 
 /// A complete simulated measurement campaign.

@@ -11,8 +11,6 @@
 //! campaign on top of the simulators in the other crates and reproduces the
 //! paper's experiments:
 //!
-//! * [`mobility`] — blocker mobility models (now re-exported from
-//!   `vvd_channel::mobility`, where the scenario engine lives),
 //! * [`campaign`] — per-packet channel realisations, per-frame depth
 //!   images, packet↔frame association and the perfect (ground-truth) LS
 //!   estimates; the environment is any
@@ -24,9 +22,10 @@
 //! * [`combinations`] — Table 2 (the 15 set combinations) plus generated
 //!   equivalents for reduced campaign sizes,
 //! * [`stream`] — the generic streaming core that fits boxed
-//!   `ChannelEstimator`s and replays a test set through them
-//!   (estimate → decode → score → observe), optionally on worker threads,
-//!   plus the (scenario × estimator) sweep driver
+//!   `ChannelEstimator`s and replays a test set through them, one
+//!   [`stream::PacketStep`] per packet (estimate → decode → score →
+//!   observe, shared with the serving engine), optionally on worker
+//!   threads, plus the (scenario × estimator) sweep driver
 //!   [`stream::run_scenario_sweep`],
 //! * [`evaluate`] — the per-combination comparison of estimation
 //!   techniques (PER / CER / MSE, Figs. 11–14), the packet-by-packet time
@@ -50,7 +49,6 @@ pub mod combinations;
 pub mod config;
 pub mod evaluate;
 pub mod hypothesis;
-pub mod mobility;
 pub mod report;
 pub mod stream;
 
@@ -63,8 +61,8 @@ pub use evaluate::{
     run_evaluation, run_evaluation_with, run_evaluation_with_cache, CombinationResult, EvalOptions,
     EvaluationSummary, TechniqueMetrics,
 };
-pub use mobility::RandomWaypoint;
 pub use stream::{
     run_scenario_sweep, run_scenario_sweep_report, stream_estimators, EstimatorTrace,
-    LabeledEstimator, ScenarioOutcome, StreamOptions, SweepReport, SweepSpecError,
+    LabeledEstimator, PacketScan, PacketStep, ScenarioOutcome, StreamOptions, SweepReport,
+    SweepSpecError,
 };

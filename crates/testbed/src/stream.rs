@@ -1,8 +1,7 @@
 //! The generic streaming evaluation core.
 //!
 //! One function, [`stream_estimators`], replays a combination's test set
-//! packet by packet over a set of boxed
-//! [`ChannelEstimator`](vvd_estimation::ChannelEstimator)s: fit on the
+//! packet by packet over a set of boxed [`ChannelEstimator`]s: fit on the
 //! training sets, then per packet *estimate → decode → score → observe*.
 //! Both the Figs. 11–15 technique comparison (`crate::evaluate`) and the
 //! Figs. 16–17 aging sweeps (`crate::aging`) are thin layers over this
@@ -15,11 +14,12 @@
 //! either way, which makes the parallel results bit-identical to the
 //! sequential ones.
 //!
-//! The per-session serving pipeline in `vvd-serve` replays this module's
-//! per-packet arithmetic verbatim (its [`EstimatorTrace`]s are
-//! bit-comparable to [`stream_estimators`]' ones) and reuses
-//! [`CombinationDatasets`] and [`training_cirs`] to fit its sessions —
-//! which is what the serve-vs-sequential golden test pins down.
+//! Every packet goes through one [`PacketStep`]: the serving engine in
+//! `vvd-serve` runs its link sessions through the same step (split around
+//! the batched forward pass by the estimators' two-phase `plan`/`finish`
+//! API), and reuses [`CombinationDatasets`] and [`training_cirs`] to fit
+//! them, so its [`EstimatorTrace`]s equal [`stream_estimators`]' ones by
+//! construction.
 //!
 //! On top of the per-combination core, [`run_scenario_sweep`] fans the
 //! same machinery out over a (scenario × estimator) grid: each scenario
@@ -34,7 +34,7 @@
 //! the cache afterwards ([`run_scenario_sweep_report`] returns the
 //! hit/miss accounting alongside the outcomes).
 
-use crate::campaign::{Campaign, FrameRecord, MeasurementSet};
+use crate::campaign::{Campaign, MeasurementSet};
 use crate::combinations::{combinations_for, SetCombination};
 use crate::evaluate::{
     evaluate_specs_with_cache, CombinationResult, EvalOptions, EvaluationSummary,
@@ -42,17 +42,17 @@ use crate::evaluate::{
 use std::fmt;
 use vvd_channel::scenario::{BoxedScenario, ScenarioRegistry, SpecParseError};
 use vvd_core::VvdVariant;
-use vvd_dsp::FirFilter;
+use vvd_dsp::{CVec, FirFilter};
 use vvd_estimation::decode::decode_with_reference;
 use vvd_estimation::estimator::{
-    BoxedEstimator, Estimate, EstimateRequest, FrameSource, PacketObservation, TrainingContext,
-    VvdDatasetSource, VvdModelPool,
+    BoxedEstimator, ChannelEstimator, Estimate, EstimateRequest, PacketObservation,
+    TrainingContext, VvdDatasetSource, VvdModelPool,
 };
 use vvd_estimation::ls::preamble_estimate;
 use vvd_estimation::phase::align_mean_phase;
 use vvd_estimation::EqualizerConfig;
 use vvd_estimation::{ModelCache, ModelCacheStats};
-use vvd_phy::{DecodeOutcome, Receiver};
+use vvd_phy::{DecodeOutcome, ModulatedFrame, Receiver};
 
 /// An estimator plus the label its results are reported under.
 pub struct LabeledEstimator {
@@ -104,6 +104,19 @@ pub struct EstimatorTrace {
     /// zero-sized losses), aligned across estimators — the Fig.-15 time
     /// series is assembled from these.
     pub per_packet: Vec<DecodeOutcome>,
+}
+
+impl EstimatorTrace {
+    /// An empty trace reported under `label`.
+    pub fn new(label: impl Into<String>) -> Self {
+        EstimatorTrace {
+            label: label.into(),
+            scored: Vec::new(),
+            estimates: Vec::new(),
+            truths: Vec::new(),
+            per_packet: Vec::new(),
+        }
+    }
 }
 
 /// Builds the VVD training/validation datasets of a combination, on demand
@@ -174,15 +187,190 @@ pub fn nominal_energy(training_cirs: &[FirFilter]) -> f64 {
     energies[energies.len() / 2]
 }
 
-/// [`FrameSource`] over a measurement set's frame records.
-struct SetFrames<'a>(&'a [FrameRecord]);
+/// The estimator-independent products of one test packet: the regenerated
+/// transmitted frame and received waveform, the preamble-based LS estimate
+/// and, once some estimate asks for plain decoding, the synchronisation
+/// offset.
+///
+/// A pure function of the immutable campaign and the packet's position, so
+/// the serving engine's tick pipeline computes it ahead of time on another
+/// thread, and [`stream_estimators`] shares one scan (and at most one
+/// synchronisation search) across every estimator it streams.
+pub struct PacketScan {
+    packet: usize,
+    tx: ModulatedFrame,
+    received: CVec,
+    preamble_est: Option<FirFilter>,
+    sync_offset: Option<usize>,
+}
 
-impl FrameSource for SetFrames<'_> {
-    fn frame(&self, index: usize) -> &vvd_vision::DepthImage {
-        &self.0[index].image
+impl PacketScan {
+    /// Regenerates packet `packet` of the campaign's set `set` and fits its
+    /// preamble LS estimate.
+    pub fn new(campaign: &Campaign, set: usize, packet: usize) -> Self {
+        let record = &campaign.set(set).packets[packet];
+        let (tx, received) = campaign.received_waveform(set, record.index);
+        let taps = campaign.config.equalizer.channel_taps;
+        let preamble_est = preamble_estimate(&tx, received.as_slice(), taps).ok();
+        PacketScan {
+            packet,
+            tx,
+            received,
+            preamble_est,
+            sync_offset: None,
+        }
     }
-    fn n_frames(&self) -> usize {
-        self.0.len()
+
+    /// Position of the scanned packet in its measurement set.
+    pub fn packet(&self) -> usize {
+        self.packet
+    }
+}
+
+/// The per-packet step of streaming a test set through an estimator:
+/// request the estimate, decode and score the packet with it (PER, CER and
+/// the Eq.-9 MSE bookkeeping), then feed the estimator the packet's
+/// observation.
+///
+/// [`stream_estimators`] and the serving engine's link sessions both run
+/// every packet through [`PacketStep::run`]; only how the estimate is
+/// obtained differs (inline, or finished with a batch-computed forward
+/// pass), which cannot change its bits.
+pub struct PacketStep<'a> {
+    test_set: &'a MeasurementSet,
+    score_from: usize,
+    equalizer: EqualizerConfig,
+    receiver: Receiver,
+}
+
+impl<'a> PacketStep<'a> {
+    /// The step over the campaign's set `set`, scoring packets from
+    /// position `score_from` on (earlier ones only warm the estimator up).
+    pub fn new(campaign: &'a Campaign, set: usize, score_from: usize) -> Self {
+        PacketStep {
+            test_set: campaign.set(set),
+            score_from,
+            equalizer: campaign.config.equalizer,
+            receiver: Receiver::new(campaign.config.phy),
+        }
+    }
+
+    /// Number of packets in the set.
+    pub fn packets(&self) -> usize {
+        self.test_set.packets.len()
+    }
+
+    /// `true` when `packet` is estimated, decoded and scored.
+    pub fn scored(&self, packet: usize) -> bool {
+        packet >= self.score_from
+    }
+
+    /// `true` when `packet` needs a [`PacketScan`]: it is scored, or an
+    /// estimator consumes preamble observations.
+    pub fn needs_scan(&self, packet: usize, wants_preamble: bool) -> bool {
+        self.scored(packet) || wants_preamble
+    }
+
+    /// The estimate request of a scanned packet.
+    pub fn request<'s>(&'s self, scan: &'s PacketScan) -> EstimateRequest<'s> {
+        let record = &self.test_set.packets[scan.packet];
+        EstimateRequest {
+            packet_index: scan.packet,
+            perfect_cir: &record.perfect_cir,
+            preamble_estimate: scan.preamble_est.as_ref(),
+            preamble_detected: record.preamble_detected,
+            frame_index: record.frame_index,
+            frames: self.test_set,
+        }
+    }
+
+    /// Runs `packet` through `estimator`.  A scored packet gets its
+    /// estimate from `estimate` (given the estimator and the request) and
+    /// is decoded and scored into `trace`; every packet is then observed.
+    ///
+    /// # Panics
+    /// Panics when a scored packet comes without its scan.
+    pub fn run(
+        &self,
+        packet: usize,
+        mut scan: Option<&mut PacketScan>,
+        estimator: &mut dyn ChannelEstimator,
+        trace: &mut EstimatorTrace,
+        estimate: impl FnOnce(&mut dyn ChannelEstimator, &EstimateRequest<'_>) -> Estimate,
+    ) {
+        let record = &self.test_set.packets[packet];
+        if self.scored(packet) {
+            let scan = scan.as_deref_mut().expect("scored packets are scanned");
+            let estimate = estimate(estimator, &self.request(scan));
+            self.score(estimate, scan, &record.perfect_cir, trace);
+        }
+        let preamble_estimate = if estimator.wants_preamble_observations() {
+            scan.and_then(|scan| scan.preamble_est.as_ref())
+        } else {
+            None
+        };
+        estimator.observe(&PacketObservation {
+            perfect_cir: &record.perfect_cir,
+            aligned_cir: &record.aligned_cir,
+            preamble_estimate,
+        });
+    }
+
+    /// Decodes a scanned packet with `estimate` and records the outcome.
+    fn score(
+        &self,
+        estimate: Estimate,
+        scan: &mut PacketScan,
+        truth: &FirFilter,
+        trace: &mut EstimatorTrace,
+    ) {
+        let eq = self.equalizer;
+        let outcome = match estimate {
+            Estimate::Bypass => {
+                let offset = *scan.sync_offset.get_or_insert_with(|| {
+                    self.receiver
+                        .synchronize(scan.received.as_slice(), &scan.tx)
+                        .offset
+                });
+                self.receiver
+                    .decode_standard(&scan.received.as_slice()[offset..], &scan.tx)
+            }
+            Estimate::Ready { cir, align_phase } => {
+                let config = EqualizerConfig {
+                    align_phase: align_phase && eq.align_phase,
+                    ..eq
+                };
+                let outcome = decode_with_reference(
+                    &self.receiver,
+                    &scan.tx,
+                    scan.received.as_slice(),
+                    &cir,
+                    scan.preamble_est.as_ref(),
+                    &config,
+                );
+                // Eq.-9 MSE bookkeeping: compare the estimate as it was
+                // actually used (after alignment) with the perfect one.
+                let aligned = match (config.align_phase, scan.preamble_est.as_ref()) {
+                    (true, Some(reference)) => align_mean_phase(&cir, reference).0,
+                    _ => cir,
+                };
+                trace.estimates.push(aligned);
+                trace.truths.push(truth.clone());
+                outcome
+            }
+            Estimate::Lost => DecodeOutcome::lost(
+                scan.tx.psdu_chips().len(),
+                scan.tx.frame.psdu_symbols().len(),
+            ),
+            Estimate::Skip => {
+                // Not scored; recorded as a zero-sized loss so the
+                // per-packet streams stay aligned across estimators.
+                trace.per_packet.push(DecodeOutcome::lost(0, 0));
+                return;
+            }
+        };
+        trace.scored.push(outcome);
+        trace.per_packet.push(outcome);
     }
 }
 
@@ -244,133 +432,29 @@ pub fn stream_estimators(
 }
 
 /// Streams the full test set through a chunk of estimators with one shared
-/// packet scan: the received waveform, its preamble-based LS estimate and
-/// (when needed) the synchronisation offset are computed once per packet
-/// and reused by every estimator of the chunk — the per-estimator
-/// arithmetic is untouched, so chunking cannot change any result.
+/// [`PacketScan`] per packet — the per-estimator arithmetic is untouched,
+/// so chunking cannot change any result.
 fn stream_chunk(
     campaign: &Campaign,
     combination: &SetCombination,
     chunk: Vec<LabeledEstimator>,
     options: &StreamOptions,
 ) -> Vec<EstimatorTrace> {
-    let cfg = &campaign.config;
-    let receiver = Receiver::new(cfg.phy);
-    let eq = cfg.equalizer;
-    let test_set: &MeasurementSet = campaign.set(combination.test);
-    let frames = SetFrames(&test_set.frames);
-
-    let (labels, mut estimators): (Vec<String>, Vec<BoxedEstimator>) = chunk
+    let step = PacketStep::new(campaign, combination.test, options.score_from);
+    let (mut traces, mut estimators): (Vec<EstimatorTrace>, Vec<BoxedEstimator>) = chunk
         .into_iter()
-        .map(|labeled| (labeled.label, labeled.estimator))
+        .map(|labeled| (EstimatorTrace::new(labeled.label), labeled.estimator))
         .unzip();
-    let wants_preamble_obs: Vec<bool> = estimators
-        .iter()
-        .map(|e| e.wants_preamble_observations())
-        .collect();
-    let any_wants_preamble = wants_preamble_obs.iter().any(|&w| w);
+    let any_wants_preamble = estimators.iter().any(|e| e.wants_preamble_observations());
 
-    let mut traces: Vec<EstimatorTrace> = labels
-        .into_iter()
-        .map(|label| EstimatorTrace {
-            label,
-            scored: Vec::new(),
-            estimates: Vec::new(),
-            truths: Vec::new(),
-            per_packet: Vec::new(),
-        })
-        .collect();
-
-    for (k, record) in test_set.packets.iter().enumerate() {
-        let score = k >= options.score_from;
-
-        // The received waveform (and the preamble-based LS estimate derived
-        // from it) is regenerated once per packet, and only when the packet
-        // is decoded or some estimator asked for preamble observations.
-        let regen = if score || any_wants_preamble {
-            let (tx, received) = campaign.received_waveform(combination.test, record.index);
-            let preamble_est = preamble_estimate(&tx, received.as_slice(), eq.channel_taps).ok();
-            Some((tx, received, preamble_est))
-        } else {
-            None
-        };
-        // Synchronisation offset, computed at most once per packet (only
-        // bypass decoding needs it).
-        let mut sync_offset: Option<usize> = None;
-
-        for (i, estimator) in estimators.iter_mut().enumerate() {
-            let trace = &mut traces[i];
-            if score {
-                let (tx, received, preamble_est) =
-                    regen.as_ref().expect("scored packets are regenerated");
-                let request = EstimateRequest {
-                    packet_index: k,
-                    perfect_cir: &record.perfect_cir,
-                    preamble_estimate: preamble_est.as_ref(),
-                    preamble_detected: record.preamble_detected,
-                    frame_index: record.frame_index,
-                    frames: &frames,
-                };
-                match estimator.estimate(&request) {
-                    Estimate::Bypass => {
-                        let offset = *sync_offset.get_or_insert_with(|| {
-                            receiver.synchronize(received.as_slice(), tx).offset
-                        });
-                        let outcome = receiver.decode_standard(&received.as_slice()[offset..], tx);
-                        trace.scored.push(outcome);
-                        trace.per_packet.push(outcome);
-                    }
-                    Estimate::Ready { cir, align_phase } => {
-                        let config = EqualizerConfig {
-                            align_phase: align_phase && eq.align_phase,
-                            ..eq
-                        };
-                        let outcome = decode_with_reference(
-                            &receiver,
-                            tx,
-                            received.as_slice(),
-                            &cir,
-                            preamble_est.as_ref(),
-                            &config,
-                        );
-                        trace.scored.push(outcome);
-                        trace.per_packet.push(outcome);
-                        // Eq.-9 MSE bookkeeping: compare the estimate as it
-                        // was actually used (after alignment) with the
-                        // perfect one.
-                        let aligned = match (config.align_phase, preamble_est.as_ref()) {
-                            (true, Some(reference)) => align_mean_phase(&cir, reference).0,
-                            _ => cir.clone(),
-                        };
-                        trace.estimates.push(aligned);
-                        trace.truths.push(record.perfect_cir.clone());
-                    }
-                    Estimate::Lost => {
-                        let outcome = DecodeOutcome::lost(
-                            tx.psdu_chips().len(),
-                            tx.frame.psdu_symbols().len(),
-                        );
-                        trace.scored.push(outcome);
-                        trace.per_packet.push(outcome);
-                    }
-                    Estimate::Skip => {
-                        // Not scored; recorded as a zero-sized loss so the
-                        // per-packet streams stay aligned across estimators.
-                        trace.per_packet.push(DecodeOutcome::lost(0, 0));
-                    }
-                }
-            }
-
-            let observation = PacketObservation {
-                perfect_cir: &record.perfect_cir,
-                aligned_cir: &record.aligned_cir,
-                preamble_estimate: if wants_preamble_obs[i] {
-                    regen.as_ref().and_then(|(_, _, pre)| pre.as_ref())
-                } else {
-                    None
-                },
-            };
-            estimator.observe(&observation);
+    for k in 0..step.packets() {
+        let mut scan = step
+            .needs_scan(k, any_wants_preamble)
+            .then(|| PacketScan::new(campaign, combination.test, k));
+        for (estimator, trace) in estimators.iter_mut().zip(&mut traces) {
+            step.run(k, scan.as_mut(), estimator.as_mut(), trace, |e, req| {
+                e.estimate(req)
+            });
         }
     }
 

@@ -12,7 +12,9 @@
 //! ```
 
 use vvd::dsp::FirFilter;
-use vvd::estimation::estimator::{ChannelEstimator, Estimate, EstimateRequest, PacketObservation};
+use vvd::estimation::estimator::{
+    ChannelEstimator, Estimate, EstimateRequest, PacketObservation, Step,
+};
 use vvd::estimation::registry::SpecError;
 use vvd::estimation::{EstimatorRegistry, Technique};
 use vvd::testbed::{
@@ -47,12 +49,12 @@ impl ChannelEstimator for Ewma {
         self.state = Some(next);
     }
 
-    fn estimate(&mut self, _req: &EstimateRequest<'_>) -> Estimate {
-        match &self.state {
+    fn plan(&mut self, _req: &EstimateRequest<'_>) -> Step {
+        Step::Done(match &self.state {
             // Blind estimate from past packets only: ask for alignment.
             Some(state) => Estimate::aligned(state.clone()),
             None => Estimate::Skip,
-        }
+        })
     }
 }
 

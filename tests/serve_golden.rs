@@ -8,8 +8,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use vvd::core::VvdVariant;
 use vvd::estimation::estimator::VvdModelPool;
-use vvd::estimation::{EstimatorRegistry, Technique};
+use vvd::estimation::{preamble_estimate, EstimatorRegistry, Technique};
 use vvd::serve::{serve, LoadGenerator, ServeOptions, SessionSpec};
 use vvd::testbed::stream::{
     stream_estimators, training_cirs, CombinationDatasets, EstimatorTrace, LabeledEstimator,
@@ -209,9 +210,35 @@ fn batched_inference_issues_fewer_forward_calls_than_packets_served() {
         "batch occupancy {} must exceed 1",
         report.batch_occupancy()
     );
-    // The four pure-VVD sessions plan on every scored tick; the fallback
-    // sessions join the same batch on ticks whose preamble was missed
-    // (their lookahead suppresses the dead forward pass otherwise).
+    // Exactly the forward passes whose output is used, and no others: a
+    // pure-VVD session needs one per scored packet with a lagged frame, a
+    // fallback session only those whose preamble primary defers (missed
+    // preamble or failed LS fit).  The digest cannot see a pass that was
+    // planned and thrown away; this count does.
+    let combination = &combinations_for(cfg.n_sets, cfg.n_combinations)[0];
+    let lag = VvdVariant::Current.image_lag_frames();
+    let taps = cfg.equalizer.channel_taps;
+    let vvd_packets: Vec<_> = campaign
+        .set(combination.test)
+        .packets
+        .iter()
+        .skip(cfg.kalman_warmup_packets)
+        .filter(|record| record.frame_index >= lag)
+        .collect();
+    let preamble_defers = vvd_packets
+        .iter()
+        .filter(|record| {
+            let (tx, received) = campaign.received_waveform(combination.test, record.index);
+            !record.preamble_detected || preamble_estimate(&tx, received.as_slice(), taps).is_err()
+        })
+        .count();
+    let sessions_of_each = (specs.len() / 2) as u64;
+    assert_eq!(
+        report.batches.images,
+        sessions_of_each * (vvd_packets.len() + preamble_defers) as u64,
+        "{} scored VVD packets, {preamble_defers} of them with a deferring preamble",
+        vvd_packets.len()
+    );
     assert!(report.batches.max_batch >= specs.len() / 2);
 
     // And batching is invisible in the results: the serve trace matches
