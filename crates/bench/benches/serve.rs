@@ -5,8 +5,10 @@
 //! heterogeneous arrival intervals) through the `vvd-serve` load
 //! generator, runs it sharded with the tick pipeline on and off
 //! (interleaved repetitions, medians reported) and once on a single
-//! shard, and reports throughput, per-phase timings (DSP synthesis,
-//! batched inference, pipeline overlap), batch occupancy (NN images per
+//! shard, and reports throughput, per-phase timings (scan synthesis,
+//! receiver DSP, batched inference, pipeline overlap), the engine's scan
+//! cache counters (distinct packets synthesized vs packets streamed),
+//! batch occupancy (NN images per
 //! forward call — the quantity the serving layer exists to maximise), and
 //! the shared model cache's counters.  All runs must digest identically:
 //! sharding, batch composition and pipelining are invisible in every
@@ -26,7 +28,10 @@
 use std::collections::BTreeMap;
 use vvd_bench::{bench_config, print_header};
 use vvd_net::{serve_cluster_detailed, ClusterOptions, WorkerBackend};
-use vvd_serve::{mixed_session_specs, serve, LoadGenerator, ServeOptions};
+use vvd_serve::{
+    mixed_session_specs, LoadGenerator, ScanCounters, ServeEngine, ServeOptions, ServeReport,
+    Workload,
+};
 
 const SCENARIOS: [&str; 2] = ["paper", "rician:k=6,doppler=30"];
 
@@ -44,6 +49,15 @@ const SESSIONS: usize = 64;
 /// Interleaved pipeline-on/off repetitions per mode; the reported wall
 /// times are the per-mode medians.
 const PIPELINE_REPS: usize = 3;
+
+/// Serves `workload` to completion, also returning the engine's scan
+/// counters.
+fn serve_counted(workload: Workload, options: &ServeOptions) -> (ServeReport, ScanCounters) {
+    let mut engine = ServeEngine::new(workload, options);
+    while engine.step_tick() {}
+    let counters = engine.scan_counters();
+    (engine.finish(), counters)
+}
 
 fn main() {
     // Under the self-exec cluster backend this process doubles as the
@@ -85,26 +99,26 @@ fn main() {
     let mut on_walls = Vec::new();
     let mut off_walls = Vec::new();
     let mut on_report = None;
-    let mut off_digest = None;
+    let mut off_run = None;
     for _rep in 0..PIPELINE_REPS {
         for pipeline in [true, false] {
-            let r = serve(rebuild(&generator), &ServeOptions { shards, pipeline });
+            let (r, scans) = serve_counted(rebuild(&generator), &ServeOptions { shards, pipeline });
             if pipeline {
                 on_walls.push(r.wall);
                 if on_report.is_none() {
-                    on_report = Some(r);
+                    on_report = Some((r, scans));
                 }
             } else {
                 off_walls.push(r.wall);
-                off_digest = Some(r.digest());
+                off_run = Some((r.digest(), scans.synthesized));
             }
         }
     }
-    let report = on_report.expect("at least one pipeline-on repetition ran");
+    let (report, scans) = on_report.expect("at least one pipeline-on repetition ran");
     assert_eq!(
-        Some(report.digest()),
-        off_digest,
-        "the tick pipeline must be invisible in the served results"
+        Some((report.digest(), scans.synthesized)),
+        off_run,
+        "the tick pipeline must be invisible in the served results and the scan count"
     );
     on_walls.sort();
     off_walls.sort();
@@ -122,10 +136,15 @@ fn main() {
         "pipeline medians over {PIPELINE_REPS} reps: on {pipeline_on:.2?}, off {pipeline_off:.2?}"
     );
     println!(
-        "phase timings: dsp {:.1}ms, infer {:.1}ms, overlap {:.1}% of the infer+commit window",
+        "phase timings: synth {:.1}ms, dsp {:.1}ms, infer {:.1}ms, overlap {:.1}% of the infer+commit window",
+        report.phases.synth_ms(),
         report.phases.dsp_ms(),
         report.phases.infer_ms(),
         report.phases.overlap_pct(),
+    );
+    println!(
+        "scan cache: {} packets synthesized for {} streamed, at most {} resident",
+        scans.synthesized, report.packets_streamed, scans.peak_resident,
     );
     println!(
         "batched inference: {} forward calls / {} images — occupancy {:.2}, max batch {}",
@@ -167,12 +186,16 @@ fn main() {
         generator = generator.with_campaign(spec.clone(), campaign.clone());
     }
     let workload = generator.build(&specs).expect("bench specs are valid");
-    let single = serve(
+    let (single, single_scans) = serve_counted(
         workload,
         &ServeOptions {
             shards: 1,
             ..ServeOptions::default()
         },
+    );
+    assert_eq!(
+        single_scans.synthesized, scans.synthesized,
+        "the shard count must not change how many scans are synthesized"
     );
     println!(
         "\nsingle shard: {:.2?} wall — sharded speedup {:.2}x",
@@ -264,6 +287,8 @@ fn main() {
                 "{{\n",
                 "  \"bench\": \"serve\",\n",
                 "  \"preset\": {preset:?},\n",
+                "  \"nproc\": {nproc},\n",
+                "  \"shards\": {shards},\n",
                 "  \"sessions\": {sessions},\n",
                 "  \"packets_streamed\": {streamed},\n",
                 "  \"packets_served\": {served},\n",
@@ -274,9 +299,13 @@ fn main() {
                 "  \"max_batch\": {max_batch},\n",
                 "  \"trainings\": {trainings},\n",
                 "  \"cache_hits\": {hits},\n",
+                "  \"scans_synthesized\": {synthesized},\n",
+                "  \"scans_peak_resident\": {peak_resident},\n",
+                "  \"synth_ms\": {synth_ms:.2},\n",
                 "  \"dsp_ms\": {dsp_ms:.2},\n",
                 "  \"infer_ms\": {infer_ms:.2},\n",
                 "  \"pipeline_overlap_pct\": {overlap_pct:.2},\n",
+                "  \"pipeline_reps\": {reps},\n",
                 "  \"pipeline_on_ms\": {on_ms:.2},\n",
                 "  \"pipeline_off_ms\": {off_ms:.2},\n",
                 "  \"cluster_workers\": {workers},\n",
@@ -286,6 +315,8 @@ fn main() {
                 "}}\n"
             ),
             preset = std::env::var("VVD_BENCH_PRESET").unwrap_or_else(|_| "tiny".to_string()),
+            nproc = std::thread::available_parallelism().map_or(1, |n| n.get()),
+            shards = shards,
             sessions = SESSIONS,
             streamed = report.packets_streamed,
             served = report.packets_served,
@@ -296,9 +327,13 @@ fn main() {
             max_batch = report.batches.max_batch,
             trainings = report.model_cache.misses,
             hits = report.model_cache.hits,
+            synthesized = scans.synthesized,
+            peak_resident = scans.peak_resident,
+            synth_ms = report.phases.synth_ms(),
             dsp_ms = report.phases.dsp_ms(),
             infer_ms = report.phases.infer_ms(),
             overlap_pct = report.phases.overlap_pct(),
+            reps = PIPELINE_REPS,
             on_ms = pipeline_on.as_secs_f64() * 1e3,
             off_ms = pipeline_off.as_secs_f64() * 1e3,
             workers = workers,

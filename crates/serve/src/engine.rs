@@ -6,22 +6,30 @@
 //! bounded by the number of distinct arrival instants (each iteration
 //! still scans every session for a cheap due/pending check; a due-tick
 //! priority queue is the natural upgrade once idle sessions dominate).
-//! Each tick runs three phases:
+//! Each tick runs a fill pass and three phases:
 //!
-//! 1. **Prepare** (parallel over shards): every due session regenerates
-//!    its packet's waveform, fits the preamble LS estimate and surfaces
-//!    its NN inference plan — the per-packet work that dominates CPU cost
-//!    besides the forward pass itself.
+//! 0. **Fill** (parallel over shards): the engine's scan cache
+//!    (`crate::scans`) synthesizes the due packets' scans — received
+//!    waveform and preamble LS estimate — that it does not hold yet.
+//!    Sessions of the same scenario and test set share one stream of
+//!    scans, so each distinct packet is synthesized once per serve, not
+//!    once per session.  This is the channel simulator making up input,
+//!    reported apart from receiver DSP (`PhaseTimings::synth`).
+//! 1. **Prepare** (parallel over shards): every due session takes an `Arc`
+//!    clone of its packet's scan and surfaces its NN inference plan.
 //! 2. **Plan + batch** (sequential): the planner groups all plans by model
 //!    key and issues one `predict_batch` per distinct model
 //!    (`crate::planner`), scattering predictions back.
 //! 3. **Complete** (parallel over shards): every due session decodes with
-//!    the injected prediction, scores the packet and observes it.
+//!    the injected prediction, scores the packet and observes it; then the
+//!    cache drops every scan all of its stream's sessions have passed.
 //!
 //! # Determinism
 //!
 //! Every number the loop produces is independent of the shard count *and*
-//! of the arrival schedule: sessions share no mutable state, each phase
+//! of the arrival schedule: sessions share no mutable state (the scans
+//! they share are immutable, and a scan's lazily computed synchronisation
+//! offset is a pure function of it, set once), each phase
 //! visits each session exactly once, batch composition only affects how
 //! predictions are grouped — never their values (`predict_batch` is
 //! bit-identical to per-image prediction) — and traces are kept per
@@ -35,9 +43,10 @@
 
 use crate::checkpoint::{CheckpointError, CheckpointStore, EngineCheckpoint};
 use crate::loadgen::Workload;
-use crate::pipeline::{self, PrefetchBuffer};
+use crate::pipeline;
 use crate::planner::{run_batched_inference, BatchCounters};
 use crate::report::{PhaseTimings, ServeReport};
+use crate::scans::{self, ScanCache, ScanCounters};
 use crate::store::SessionStore;
 use crate::timing::Stopwatch;
 
@@ -48,10 +57,10 @@ pub struct ServeOptions {
     /// The default follows `vvd_dsp::worker_budget()` (the `VVD_WORKERS`
     /// override included); any value produces bit-identical results.
     pub shards: usize,
-    /// Whether the engine overlaps the *next* tick's DSP synthesis with
-    /// the current tick's batched inference (the double-buffered tick
-    /// pipeline, see `crate::pipeline`).  The default follows
-    /// `vvd_dsp::pipeline_enabled()` (the `VVD_PIPELINE` env knob, on
+    /// Whether the engine synthesizes the *next* tick's first-touch scans
+    /// while the current tick's batched inference runs (the
+    /// double-buffered tick pipeline, see `crate::pipeline`).  The default
+    /// follows `vvd_dsp::pipeline_enabled()` (the `VVD_PIPELINE` env knob, on
     /// unless explicitly disabled); pipelining is pure scheduling, so
     /// either value produces bit-identical results.
     pub pipeline: bool,
@@ -92,11 +101,9 @@ pub struct ServeEngine {
     batches: BatchCounters,
     started: Stopwatch,
     phases: PhaseTimings,
-    /// Scans the pipeline computed during the previous tick, waiting
-    /// to be stashed into their sessions when their tick starts.  Never
-    /// checkpointed: the buffer is transient and recomputable, so a resume
-    /// simply starts without one.
-    prefetch: Option<PrefetchBuffer>,
+    /// The scans the sessions share.  Never checkpointed: it is transient
+    /// and recomputable, so a resumed engine starts empty.
+    scans: ScanCache,
     policy: Option<CheckpointPolicy>,
 }
 
@@ -131,6 +138,7 @@ impl ServeEngine {
     pub fn new(workload: Workload, options: &ServeOptions) -> Self {
         let Workload { store, cache, .. } = workload;
         ServeEngine {
+            scans: ScanCache::new(&store),
             store,
             cache,
             shards: options.shards.max(1),
@@ -139,7 +147,6 @@ impl ServeEngine {
             batches: BatchCounters::default(),
             started: Stopwatch::start(),
             phases: PhaseTimings::default(),
-            prefetch: None,
             policy: None,
         }
     }
@@ -219,72 +226,70 @@ impl ServeEngine {
         self.ticks
     }
 
-    /// Runs one tick (prepare / batch-infer / complete over every due
-    /// session).  Returns `false` — without ticking — once the workload is
-    /// drained.
+    /// The scan cache's counters: scans synthesized so far, and how many
+    /// are (and were at most) resident.
+    pub fn scan_counters(&self) -> ScanCounters {
+        self.scans.counters()
+    }
+
+    /// Runs one tick (fill / prepare / batch-infer / complete over every
+    /// due session).  Returns `false` — without ticking — once the
+    /// workload is drained.
     ///
-    /// With the pipeline on, the next tick's DSP synthesis runs on scope
-    /// threads while this tick's inference and commit phases execute; the
-    /// products rendezvous at the end of the tick and are consumed — in
-    /// tick order — by the next prepare phase.  Pure scheduling: every
-    /// result bit is identical with the pipeline on or off.
+    /// With the pipeline on, the next tick's first-touch scans are
+    /// synthesized on scope threads while this tick's inference and commit
+    /// phases execute, and become resident at the end of the tick.  Pure
+    /// scheduling: every result bit — and the number of scans synthesized —
+    /// is identical with the pipeline on or off.
     pub fn step_tick(&mut self) -> bool {
         let Some(tick) = self.store.next_due_tick() else {
             return false;
         };
 
-        // Stash the previous tick's prefetched products (cheap moves; a
-        // buffer planned for a different tick — impossible in a steady run,
-        // conceivable only across exotic restarts — is simply dropped and
-        // the products recomputed inline).
-        if let Some(buffer) = self.prefetch.take() {
-            if buffer.tick == tick {
-                let sessions = self.store.sessions_mut();
-                for (idx, scan) in buffer.items {
-                    sessions[idx].stash_scan(scan);
-                }
-            }
-        }
-
-        // Phase 1: prepare every due session's packet (sharded),
-        // consuming prefetched products where available.
+        // Fill pass: synthesize the due packets' scans the cache does not
+        // hold yet (deduplicated across the sessions of each stream).
         let sw = Stopwatch::start();
-        self.store.for_each_sharded(self.shards, |session| {
+        let due = self
+            .store
+            .sessions()
+            .iter()
+            .enumerate()
+            .filter(|(_, session)| session.due(tick) && session.needs_scan(session.cursor()))
+            .map(|(idx, session)| (idx, session.cursor()));
+        let jobs = self.scans.jobs(due);
+        self.scans.insert(scans::fill(jobs, self.shards));
+        self.phases.synth += sw.elapsed();
+
+        // Phase 1: prepare every due session's packet (sharded) over an
+        // `Arc` clone of its scan.
+        let sw = Stopwatch::start();
+        let cache = &self.scans;
+        self.store.for_each_sharded(self.shards, |idx, session| {
             if session.due(tick) {
-                session.prepare(tick);
+                session.prepare(tick, cache.get(idx, session.cursor()));
             }
         });
         self.phases.dsp += sw.elapsed();
 
         // Mid-tick, after prepare: every due session is pending, so the
         // next tick and its due set are fully determined — plan its
-        // synthesis now, before any estimator state mutates.
+        // first-touch scans now, before any estimator state mutates.
         let planned = if self.pipeline {
-            pipeline::plan_jobs(&self.store)
+            pipeline::plan_jobs(&self.store, &self.scans)
         } else {
             None
         };
 
-        // Phases 2 + 3, with the next tick's synthesis overlapped on
-        // scope threads.  Jobs are plain data (Arc'd campaigns + indices),
-        // so the synth threads never touch a session while inference and
+        // Phases 2 + 3, with the next tick's scans synthesized on scope
+        // threads.  Jobs are plain data (Arc'd campaigns + indices), so
+        // the fill threads never touch a session while inference and
         // commit mutate them.
         let shards = self.shards;
         let store = &mut self.store;
         let batches = &mut self.batches;
         let phases = &mut self.phases;
-        self.prefetch = std::thread::scope(|scope| {
-            let synth = planned.map(|(next_tick, mut jobs)| {
-                let threads = shards.min(jobs.len()).max(1);
-                let chunk_size = jobs.len().div_ceil(threads);
-                let mut handles = Vec::with_capacity(threads);
-                while !jobs.is_empty() {
-                    let rest = jobs.split_off(chunk_size.min(jobs.len()));
-                    let chunk = std::mem::replace(&mut jobs, rest);
-                    handles.push(scope.spawn(move || pipeline::run_jobs(chunk)));
-                }
-                (next_tick, handles)
-            });
+        let prefetched = std::thread::scope(|scope| {
+            let fill = planned.map(|jobs| scans::spawn_fill(scope, jobs, shards));
 
             // Phase 2: one batched forward pass per distinct model.
             let sw = Stopwatch::start();
@@ -294,7 +299,7 @@ impl ServeEngine {
 
             // Phase 3: decode, score, observe (sharded).
             let sw = Stopwatch::start();
-            store.for_each_sharded(shards, |session| {
+            store.for_each_sharded(shards, |_, session| {
                 if session.has_pending() {
                     session.complete();
                 }
@@ -302,26 +307,22 @@ impl ServeEngine {
             let commit = sw.elapsed();
             phases.dsp += commit;
 
-            // Rendezvous: join the synth threads and buffer their
-            // products for the next tick.
-            synth.map(|(next_tick, handles)| {
-                let mut items = Vec::new();
-                let mut busy = std::time::Duration::ZERO;
-                for handle in handles {
-                    let (chunk_items, chunk_busy) =
-                        handle.join().expect("pipeline synth worker panicked");
-                    items.extend(chunk_items);
-                    busy = busy.max(chunk_busy);
-                }
+            // Rendezvous: join the fill threads.
+            fill.map(|handles| {
+                let (filled, busy) = scans::join_fill(handles);
                 let window = infer + commit;
                 phases.window += window;
                 phases.overlap += busy.min(window);
-                PrefetchBuffer {
-                    tick: next_tick,
-                    items,
-                }
+                filled
             })
         });
+
+        // Drop the scans every session of their stream has passed, then
+        // make the next tick's prefetched ones resident.
+        self.scans.evict(&self.store);
+        if let Some(filled) = prefetched {
+            self.scans.insert(filled);
+        }
 
         self.ticks += 1;
 

@@ -18,13 +18,17 @@
 //!   sessions hold `Arc`-clones of a single trained network.
 //! * [`SessionStore`] — owns the [`LinkSession`]s and shards each engine
 //!   phase over `std::thread::scope` workers.
+//! * The **scan cache** — each engine synthesizes every packet's
+//!   estimator-independent scan (waveform regeneration + preamble LS)
+//!   once per serve, shares it by `Arc` among the sessions of the same
+//!   scenario and test set, and drops it once they have all passed it;
+//!   [`ServeEngine::scan_counters`] reports how many it synthesized.
 //! * The **tick pipeline** (`VVD_PIPELINE`, on by default) — double
 //!   buffering across ticks: while tick T's coalesced batch infers, scope
-//!   threads compute tick T+1's estimator-independent packet scans
-//!   (waveform regeneration + preamble LS), which the next prepare phase
-//!   consumes in tick order.  Pure scheduling: every digest is
-//!   bit-identical with the pipeline on or off, which the pipeline golden
-//!   pins at shard counts 1/2/8 and cluster sizes 1/2/4.
+//!   threads synthesize tick T+1's first-touch scans into the cache.
+//!   Pure scheduling: every digest is bit-identical with the pipeline on
+//!   or off, which the pipeline golden pins at shard counts 1/2/8 and
+//!   cluster sizes 1/2/4.
 //! * The **inference planner** (`BatchCounters` and friends) — coalesces
 //!   the NN forward passes the due sessions' estimators planned this tick,
 //!   grouped by the model's training-provenance
@@ -64,6 +68,7 @@ pub mod loadgen;
 mod pipeline;
 pub mod planner;
 pub mod report;
+mod scans;
 pub mod session;
 pub mod store;
 pub mod timing;
@@ -76,5 +81,6 @@ pub use engine::{serve, ServeEngine, ServeOptions};
 pub use loadgen::{mixed_session_specs, LoadGenerator, ServeSpecError, Workload};
 pub use planner::BatchCounters;
 pub use report::{PhaseTimings, ReportAssemblyError, ServeReport, SessionReport};
+pub use scans::ScanCounters;
 pub use session::{LinkSession, SessionSpec};
 pub use store::SessionStore;

@@ -35,18 +35,26 @@ pub struct SessionReport {
 ///
 /// Pure observability: none of these numbers feed the
 /// [`digest`](ServeReport::digest), and they legitimately vary run to run.
-/// `dsp` covers the DSP-bound phases (packet prepare + decode/commit),
-/// `infer` the batched NN forward passes; when the tick pipeline is on,
-/// `overlap` is how much next-tick synthesis ran *concurrently* with the
-/// infer/commit window (`window`), i.e. DSP work the pipeline hid.
+/// `synth` is the fill pass that synthesizes the due packets' scans — the
+/// channel simulator making up the receiver's input, which a deployed
+/// receiver never pays for — and `dsp` the receiver's own DSP-bound phases
+/// (packet prepare + decode/commit); `infer` covers the batched NN forward
+/// passes.  When the tick pipeline is on, `overlap` is how much next-tick
+/// scan synthesis ran *concurrently* with the infer/commit window
+/// (`window`), i.e. synthesis the pipeline hid.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
-    /// Wall time spent in the DSP-bound phases (prepare + complete).
+    /// Wall time spent in the fill pass, synthesizing scans the cache did
+    /// not hold.  Scans the pipeline synthesized ahead of time are not in
+    /// it; they ran inside the infer/commit window (see `overlap`).
+    pub synth: Duration,
+    /// Wall time spent in the receiver's DSP-bound phases (prepare +
+    /// complete).
     pub dsp: Duration,
     /// Wall time spent in the batched-inference phase.
     pub infer: Duration,
-    /// Next-tick synthesis time that overlapped the infer/commit window
-    /// (zero when the pipeline is off).
+    /// Next-tick scan synthesis time that overlapped the infer/commit
+    /// window (zero when the pipeline is off).
     pub overlap: Duration,
     /// Total infer/commit window during which synthesis could overlap
     /// (zero when the pipeline is off or nothing was prefetchable).
@@ -54,7 +62,12 @@ pub struct PhaseTimings {
 }
 
 impl PhaseTimings {
-    /// DSP-phase wall time in milliseconds.
+    /// Fill-pass wall time in milliseconds.
+    pub fn synth_ms(&self) -> f64 {
+        self.synth.as_secs_f64() * 1e3
+    }
+
+    /// Receiver-DSP wall time in milliseconds.
     pub fn dsp_ms(&self) -> f64 {
         self.dsp.as_secs_f64() * 1e3
     }

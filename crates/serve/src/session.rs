@@ -6,8 +6,10 @@
 //! offline pipeline's own [`PacketStep`], but split into the two halves the
 //! engine interleaves across sessions:
 //!
-//! 1. [`LinkSession::prepare`] — scan the due packet ([`PacketScan`]:
-//!    received waveform and preamble LS estimate) and run the estimator's
+//! 1. [`LinkSession::prepare`] — take the due packet's [`PacketScan`]
+//!    (received waveform and preamble LS estimate, synthesized once per
+//!    serve by the engine's scan cache and shared by every session of the
+//!    same scenario and test set) and run the estimator's
 //!    [`plan`](vvd_estimation::ChannelEstimator::plan), which either
 //!    settles the estimate or returns the NN forward pass it needs;
 //! 2. [`LinkSession::complete`] — hand a planned pass's batch-computed
@@ -109,10 +111,6 @@ pub struct LinkSession {
     next_due: u64,
     cursor: usize,
     pending: Option<PendingPacket>,
-    /// The scan the tick pipeline computed ahead of time for the next due
-    /// packet.  Transient and recomputable: never checkpointed, consumed
-    /// (or dropped) by the next [`prepare`](Self::prepare).
-    prefetched: Option<PacketScan>,
     trace: EstimatorTrace,
 }
 
@@ -147,7 +145,6 @@ impl LinkSession {
             next_due: offset,
             cursor: 0,
             pending: None,
-            prefetched: None,
             trace: EstimatorTrace::new(label),
         }
     }
@@ -210,26 +207,24 @@ impl LinkSession {
         }
     }
 
-    /// `true` when packet `k` needs a [`PacketScan`] — the exact condition
-    /// [`prepare`](Self::prepare) scans under, exposed so the pipeline only
-    /// prefetches scans that will be consumed.
+    /// Position of the next packet to stream (the number streamed so far).
+    pub(crate) fn cursor(&self) -> usize {
+        self.cursor
+    }
+
+    /// `true` when packet `k` needs a [`PacketScan`]: the exact condition
+    /// [`prepare`](Self::prepare) takes one under, so the engine only
+    /// synthesizes scans that will be consumed.
     pub(crate) fn needs_scan(&self, k: usize) -> bool {
         PacketStep::new(&self.campaign, self.combination.test, self.score_from)
             .needs_scan(k, self.estimator.wants_preamble_observations())
     }
 
-    /// What a prefetch job needs to scan one of the session's packets
-    /// off-thread: the `Arc`-shared campaign and the test-set index, so
-    /// jobs never borrow the session while the engine mutates it.
-    pub(crate) fn scan_inputs(&self) -> (Arc<Campaign>, usize) {
-        (Arc::clone(&self.campaign), self.combination.test)
-    }
-
-    /// Hands the session a pipeline-computed scan of its next due packet;
-    /// the next [`prepare`](Self::prepare) consumes it instead of
-    /// recomputing (or drops it if the packet does not match).
-    pub(crate) fn stash_scan(&mut self, scan: PacketScan) {
-        self.prefetched = Some(scan);
+    /// The session's stream: its `Arc`-shared campaign and the test set it
+    /// streams.  Sessions of one scenario and test set consume the same
+    /// scans.
+    pub(crate) fn stream(&self) -> (&Arc<Campaign>, usize) {
+        (&self.campaign, self.combination.test)
     }
 
     /// The accumulated trace (borrowed; see
@@ -318,13 +313,18 @@ impl LinkSession {
         Ok(())
     }
 
-    /// Phase 1 of serving the due packet: scan it and run the estimator's
-    /// `plan`.
+    /// Phase 1 of serving the due packet: take its scan and run the
+    /// estimator's `plan`.
+    ///
+    /// `scan` is the due packet's [`PacketScan`] (the engine hands out its
+    /// cache's shared copy); it is kept only when the packet needs one —
+    /// it is scored, or the estimator consumes preamble observations.
     ///
     /// # Panics
     /// Panics when no packet is due (the engine only calls this for due
-    /// sessions) or when a pending packet was never completed.
-    pub fn prepare(&mut self, tick: u64) {
+    /// sessions), when a pending packet was never completed, or when a
+    /// packet that needs a scan comes without the right one.
+    pub fn prepare(&mut self, tick: u64, scan: Option<PacketScan>) {
         assert!(self.due(tick), "prepare() without a due packet");
         assert!(
             self.pending.is_none(),
@@ -332,15 +332,11 @@ impl LinkSession {
         );
         let k = self.cursor;
         let step = PacketStep::new(&self.campaign, self.combination.test, self.score_from);
-        // Consume the pipeline's prefetched scan when it matches; scan
-        // inline otherwise.  Both run `PacketScan::new` on the same
-        // immutable inputs, so prefetching is pure scheduling.
-        let prefetched = self.prefetched.take().filter(|scan| scan.packet() == k);
         let scan = step
             .needs_scan(k, self.estimator.wants_preamble_observations())
             .then(|| {
-                prefetched
-                    .unwrap_or_else(|| PacketScan::new(&self.campaign, self.combination.test, k))
+                scan.filter(|scan| scan.packet() == k)
+                    .expect("prepare() needs the due packet's scan")
             });
         // Unscored (warm-up) packets are only observed, never estimated,
         // exactly as offline.
@@ -396,7 +392,7 @@ impl LinkSession {
     /// or a planned forward pass received no prediction.
     pub fn complete(&mut self) {
         let PendingPacket {
-            mut scan,
+            scan,
             planned,
             prediction,
         } = self
@@ -406,7 +402,7 @@ impl LinkSession {
         let step = PacketStep::new(&self.campaign, self.combination.test, self.score_from);
         step.run(
             self.cursor,
-            scan.as_mut(),
+            scan.as_ref(),
             self.estimator.as_mut(),
             &mut self.trace,
             |estimator, request| match planned.expect("scored packets are planned") {

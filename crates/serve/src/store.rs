@@ -63,20 +63,20 @@ impl SessionStore {
             .min()
     }
 
-    /// Runs `f` over every session, fanning contiguous chunks out over up
-    /// to `shards` scoped worker threads.
+    /// Runs `f` over every session and its index, fanning contiguous
+    /// chunks out over up to `shards` scoped worker threads.
     ///
     /// `f` must be pure per session (it may freely mutate *its* session) —
     /// with that, the shard count cannot change any result: each session
     /// is visited exactly once, by exactly one worker.
     pub(crate) fn for_each_sharded<F>(&mut self, shards: usize, f: F)
     where
-        F: Fn(&mut LinkSession) + Sync,
+        F: Fn(usize, &mut LinkSession) + Sync,
     {
         let shards = shards.max(1).min(self.sessions.len().max(1));
         if shards <= 1 {
-            for session in &mut self.sessions {
-                f(session);
+            for (idx, session) in self.sessions.iter_mut().enumerate() {
+                f(idx, session);
             }
             return;
         }
@@ -86,10 +86,11 @@ impl SessionStore {
             let handles: Vec<_> = self
                 .sessions
                 .chunks_mut(chunk_size)
-                .map(|chunk| {
+                .enumerate()
+                .map(|(chunk_idx, chunk)| {
                     scope.spawn(move || {
-                        for session in chunk {
-                            f(session);
+                        for (offset, session) in chunk.iter_mut().enumerate() {
+                            f(chunk_idx * chunk_size + offset, session);
                         }
                     })
                 })

@@ -40,6 +40,7 @@ use crate::evaluate::{
     evaluate_specs_with_cache, CombinationResult, EvalOptions, EvaluationSummary,
 };
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 use vvd_channel::scenario::{BoxedScenario, ScenarioRegistry, SpecParseError};
 use vvd_core::VvdVariant;
 use vvd_dsp::{CVec, FirFilter};
@@ -193,15 +194,21 @@ pub fn nominal_energy(training_cirs: &[FirFilter]) -> f64 {
 /// offset.
 ///
 /// A pure function of the immutable campaign and the packet's position, so
-/// the serving engine's tick pipeline computes it ahead of time on another
-/// thread, and [`stream_estimators`] shares one scan (and at most one
-/// synchronisation search) across every estimator it streams.
-pub struct PacketScan {
+/// it can be computed once and shared: cloning a scan clones an [`Arc`],
+/// and the lazily computed synchronisation offset sits in a [`OnceLock`],
+/// so every holder sees the one value whichever thread computed it.
+/// [`stream_estimators`] shares one scan (and at most one synchronisation
+/// search) across every estimator it streams; the serving engine shares
+/// one across every session of a stream.
+#[derive(Clone)]
+pub struct PacketScan(Arc<ScanData>);
+
+struct ScanData {
     packet: usize,
     tx: ModulatedFrame,
     received: CVec,
     preamble_est: Option<FirFilter>,
-    sync_offset: Option<usize>,
+    sync_offset: OnceLock<usize>,
 }
 
 impl PacketScan {
@@ -212,18 +219,18 @@ impl PacketScan {
         let (tx, received) = campaign.received_waveform(set, record.index);
         let taps = campaign.config.equalizer.channel_taps;
         let preamble_est = preamble_estimate(&tx, received.as_slice(), taps).ok();
-        PacketScan {
+        PacketScan(Arc::new(ScanData {
             packet,
             tx,
             received,
             preamble_est,
-            sync_offset: None,
-        }
+            sync_offset: OnceLock::new(),
+        }))
     }
 
     /// Position of the scanned packet in its measurement set.
     pub fn packet(&self) -> usize {
-        self.packet
+        self.0.packet
     }
 }
 
@@ -273,11 +280,11 @@ impl<'a> PacketStep<'a> {
 
     /// The estimate request of a scanned packet.
     pub fn request<'s>(&'s self, scan: &'s PacketScan) -> EstimateRequest<'s> {
-        let record = &self.test_set.packets[scan.packet];
+        let record = &self.test_set.packets[scan.packet()];
         EstimateRequest {
-            packet_index: scan.packet,
+            packet_index: scan.packet(),
             perfect_cir: &record.perfect_cir,
-            preamble_estimate: scan.preamble_est.as_ref(),
+            preamble_estimate: scan.0.preamble_est.as_ref(),
             preamble_detected: record.preamble_detected,
             frame_index: record.frame_index,
             frames: self.test_set,
@@ -293,19 +300,19 @@ impl<'a> PacketStep<'a> {
     pub fn run(
         &self,
         packet: usize,
-        mut scan: Option<&mut PacketScan>,
+        scan: Option<&PacketScan>,
         estimator: &mut dyn ChannelEstimator,
         trace: &mut EstimatorTrace,
         estimate: impl FnOnce(&mut dyn ChannelEstimator, &EstimateRequest<'_>) -> Estimate,
     ) {
         let record = &self.test_set.packets[packet];
         if self.scored(packet) {
-            let scan = scan.as_deref_mut().expect("scored packets are scanned");
+            let scan = scan.expect("scored packets are scanned");
             let estimate = estimate(estimator, &self.request(scan));
             self.score(estimate, scan, &record.perfect_cir, trace);
         }
         let preamble_estimate = if estimator.wants_preamble_observations() {
-            scan.and_then(|scan| scan.preamble_est.as_ref())
+            scan.and_then(|scan| scan.0.preamble_est.as_ref())
         } else {
             None
         };
@@ -320,14 +327,15 @@ impl<'a> PacketStep<'a> {
     fn score(
         &self,
         estimate: Estimate,
-        scan: &mut PacketScan,
+        scan: &PacketScan,
         truth: &FirFilter,
         trace: &mut EstimatorTrace,
     ) {
         let eq = self.equalizer;
+        let scan = &*scan.0;
         let outcome = match estimate {
             Estimate::Bypass => {
-                let offset = *scan.sync_offset.get_or_insert_with(|| {
+                let offset = *scan.sync_offset.get_or_init(|| {
                     self.receiver
                         .synchronize(scan.received.as_slice(), &scan.tx)
                         .offset
@@ -448,11 +456,11 @@ fn stream_chunk(
     let any_wants_preamble = estimators.iter().any(|e| e.wants_preamble_observations());
 
     for k in 0..step.packets() {
-        let mut scan = step
+        let scan = step
             .needs_scan(k, any_wants_preamble)
             .then(|| PacketScan::new(campaign, combination.test, k));
         for (estimator, trace) in estimators.iter_mut().zip(&mut traces) {
-            step.run(k, scan.as_mut(), estimator.as_mut(), trace, |e, req| {
+            step.run(k, scan.as_ref(), estimator.as_mut(), trace, |e, req| {
                 e.estimate(req)
             });
         }

@@ -4,14 +4,19 @@
 //! (`vvd_testbed::stream::stream_estimators`) — at shard counts 1, 2
 //! and 8, over a mixed-scenario campaign with heterogeneous arrival
 //! schedules, with VVD heads whose forward passes the engine batches
-//! across sessions.
+//! across sessions.  The engine's shared scan cache must synthesize each
+//! `(stream, packet)` exactly once per serve, whatever the shard count or
+//! pipeline mode, and hold nothing once the run drains.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use vvd::core::VvdVariant;
 use vvd::estimation::estimator::VvdModelPool;
 use vvd::estimation::{preamble_estimate, EstimatorRegistry, Technique};
-use vvd::serve::{serve, LoadGenerator, ServeOptions, SessionSpec};
+use vvd::serve::{
+    serve, LoadGenerator, ScanCounters, ServeEngine, ServeOptions, ServeReport, SessionSpec,
+    Workload,
+};
 use vvd::testbed::stream::{
     stream_estimators, training_cirs, CombinationDatasets, EstimatorTrace, LabeledEstimator,
     StreamOptions,
@@ -61,6 +66,50 @@ fn sequential_reference(
         },
     )
     .remove(0)
+}
+
+/// Serves `workload` to completion, also returning the engine's scan
+/// counters.
+fn serve_counted(workload: Workload, options: &ServeOptions) -> (ServeReport, ScanCounters) {
+    let mut engine = ServeEngine::new(workload, options);
+    while engine.step_tick() {}
+    let counters = engine.scan_counters();
+    (engine.finish(), counters)
+}
+
+/// The scans a serve of `specs` needs, derived from the specs and the
+/// campaign records: packet `k` of a session's stream (its scenario and
+/// test set) is scanned iff it is scored (`k >= score_from`) or the
+/// session's estimator wants preamble observations.  Each distinct
+/// `(stream, packet)` counts once, however many sessions consume it.
+fn distinct_scans(
+    cfg: &EvalConfig,
+    campaigns: &BTreeMap<String, Arc<Campaign>>,
+    specs: &[SessionSpec],
+) -> u64 {
+    let registry = EstimatorRegistry::new();
+    let combinations = combinations_for(cfg.n_sets, cfg.n_combinations);
+    let mut scanned = BTreeSet::new();
+    for spec in specs {
+        let test = combinations[spec.combination].test;
+        let packets = campaigns[&spec.scenario].set(test).packets.len();
+        let wants_preamble = registry
+            .build(&spec.estimator)
+            .expect("spec is valid")
+            .wants_preamble_observations();
+        for k in (0..packets).filter(|&k| k >= cfg.kalman_warmup_packets || wants_preamble) {
+            scanned.insert((spec.scenario.clone(), test, k));
+        }
+    }
+    scanned.len() as u64
+}
+
+fn generator_over(cfg: EvalConfig, campaigns: &BTreeMap<String, Arc<Campaign>>) -> LoadGenerator {
+    let mut generator = LoadGenerator::new(cfg);
+    for (spec, campaign) in campaigns {
+        generator = generator.with_campaign(spec.clone(), Arc::clone(campaign));
+    }
+    generator
 }
 
 fn assert_traces_bit_identical(served: &EstimatorTrace, reference: &EstimatorTrace, what: &str) {
@@ -126,19 +175,21 @@ fn serve_matches_the_sequential_pipeline_at_shard_counts_1_2_and_8() {
         .map(|spec| sequential_reference(&cfg, &campaigns, spec))
         .collect();
 
+    let scans = distinct_scans(&cfg, &campaigns, &specs);
     let mut digests = Vec::new();
     for shards in [1usize, 2, 8] {
-        let mut generator = LoadGenerator::new(cfg);
-        for (spec, campaign) in &campaigns {
-            generator = generator.with_campaign(spec.clone(), Arc::clone(campaign));
-        }
-        let workload = generator.build(&specs).unwrap();
-        let report = serve(
+        let workload = generator_over(cfg, &campaigns).build(&specs).unwrap();
+        let (report, counters) = serve_counted(
             workload,
             &ServeOptions {
                 shards,
                 ..ServeOptions::default()
             },
+        );
+        assert_eq!(counters.synthesized, scans, "shards={shards}: {counters:?}");
+        assert_eq!(
+            counters.resident, 0,
+            "shards={shards}: a drained run holds no scans"
         );
 
         assert_eq!(report.traces.len(), specs.len());
@@ -248,5 +299,115 @@ fn batched_inference_issues_fewer_forward_calls_than_packets_served() {
     for (trace, spec) in report.traces.iter().zip(&specs) {
         let reference = sequential_reference(&cfg, &campaigns, spec);
         assert_traces_bit_identical(trace, &reference, &spec.estimator);
+    }
+}
+
+#[test]
+fn scan_cache_synthesizes_each_stream_packet_once_at_any_shard_count_and_pipeline_mode() {
+    let mut cfg = golden_config();
+    cfg.n_combinations = 2;
+    let scenarios = ["paper", "rician:k=6,doppler=30"];
+    let estimators = [
+        "ground-truth",
+        "previous:100ms",
+        "kalman:ar=2",
+        "standard",
+        "preamble",
+        "fallback:preamble,ground-truth",
+    ];
+    // 12 sessions on four streams (two scenarios x two test sets), with
+    // heterogeneous arrivals, so a stream's sessions reach a packet on
+    // different ticks and the cache must hold it for the slowest one.
+    let specs: Vec<SessionSpec> = (0..12)
+        .map(|i| {
+            SessionSpec::new(scenarios[i % 2], estimators[i % estimators.len()])
+                .every((i % 3 + 1) as u64)
+                .offset((i % 4) as u64)
+                .combination((i / 2) % 2)
+        })
+        .collect();
+    let campaigns: BTreeMap<String, Arc<Campaign>> = scenarios
+        .iter()
+        .map(|s| {
+            (
+                s.to_string(),
+                Arc::new(Campaign::generate_spec(&cfg, s).unwrap()),
+            )
+        })
+        .collect();
+    let scans = distinct_scans(&cfg, &campaigns, &specs);
+    // Four streams, each scored from the warm-up on.
+    let scored = cfg.packets_per_set - cfg.kalman_warmup_packets;
+    assert_eq!(scans, 4 * scored as u64);
+    let consumed = specs.len() * scored;
+
+    let mut digests = BTreeSet::new();
+    for pipeline in [false, true] {
+        for shards in [1usize, 2, 8] {
+            let workload = generator_over(cfg, &campaigns).build(&specs).unwrap();
+            let (report, counters) = serve_counted(workload, &ServeOptions { shards, pipeline });
+            let what = format!("shards={shards} pipeline={pipeline}: {counters:?}");
+            assert_eq!(counters.synthesized, scans, "{what}");
+            assert!(
+                (counters.synthesized as usize) < consumed,
+                "sessions share scans: {what}"
+            );
+            assert_eq!(counters.resident, 0, "{what}");
+            assert!(
+                counters.peak_resident > 0 && counters.peak_resident as u64 <= scans,
+                "{what}"
+            );
+            digests.insert(report.digest());
+        }
+    }
+    assert_eq!(digests.len(), 1, "every mode digests identically");
+}
+
+#[test]
+fn bypass_sessions_sharing_a_scan_match_the_sequential_pipeline() {
+    // Several `standard` (Bypass) sessions and a `ground-truth` session on
+    // one stream: the Bypass decodes of a packet share one scan and so one
+    // lazily computed synchronisation offset, computed by whichever shard
+    // reaches it first.  Two sessions arrive on the same ticks, so at 2 and
+    // 8 shards they can race for it.
+    let cfg = golden_config();
+    let specs = vec![
+        SessionSpec::new("paper", "standard"),
+        SessionSpec::new("paper", "standard"),
+        SessionSpec::new("paper", "ground-truth"),
+        SessionSpec::new("paper", "standard").every(2).offset(1),
+    ];
+    let mut campaigns = BTreeMap::new();
+    campaigns.insert(
+        "paper".to_string(),
+        Arc::new(Campaign::generate_spec(&cfg, "paper").unwrap()),
+    );
+    let references: Vec<EstimatorTrace> = specs
+        .iter()
+        .map(|spec| sequential_reference(&cfg, &campaigns, spec))
+        .collect();
+    let scans = distinct_scans(&cfg, &campaigns, &specs);
+    assert_eq!(
+        scans,
+        (cfg.packets_per_set - cfg.kalman_warmup_packets) as u64
+    );
+    for shards in [1usize, 2, 8] {
+        let workload = generator_over(cfg, &campaigns).build(&specs).unwrap();
+        let (report, counters) = serve_counted(
+            workload,
+            &ServeOptions {
+                shards,
+                ..ServeOptions::default()
+            },
+        );
+        assert_eq!(counters.synthesized, scans, "shards={shards}");
+        assert_eq!(counters.resident, 0, "shards={shards}");
+        for ((trace, reference), spec) in report.traces.iter().zip(&references).zip(&specs) {
+            assert_traces_bit_identical(
+                trace,
+                reference,
+                &format!("shards={shards} session `{}`", spec.estimator),
+            );
+        }
     }
 }

@@ -4,11 +4,11 @@
 //! switches pipeline modes mid-run, and across loopback clusters of 1, 2
 //! and 4 workers.
 //!
-//! The pipeline overlaps tick T+1's estimator-independent DSP synthesis
-//! (waveform regeneration + preamble least-squares) with tick T's batched
-//! inference; prefetched products are consumed only when they line up with
-//! the committed cursor, so correctness never depends on the lookahead
-//! being right — only speed does.
+//! The pipeline overlaps the synthesis of tick T+1's first-touch packet
+//! scans (waveform regeneration + preamble least-squares) with tick T's
+//! batched inference, filling the engine's shared scan cache one tick
+//! early; a scan is keyed by its stream and packet, so correctness never
+//! depends on the lookahead being right — only speed does.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -120,8 +120,8 @@ fn checkpoint_cut_that_switches_pipeline_modes_matches_the_uninterrupted_digest(
     assert!(total_ticks > 2, "campaign too small to split");
 
     // Cut mid-run with the pipeline in one mode and resume in the other —
-    // both directions.  The prefetch buffer is transient (never
-    // checkpointed, recomputed after resume), so the cut cannot leak
+    // both directions.  The scan cache is transient (never
+    // checkpointed, refilled after resume), so the cut cannot leak
     // pipeline state across the boundary.
     for (before, after) in [(true, false), (false, true), (true, true)] {
         let mut engine = ServeEngine::new(build_workload(&campaigns), &options(2, before));
