@@ -1,17 +1,19 @@
 //! Criterion micro-benchmarks of the building blocks: LS estimation, ZF
-//! equalizer design and application, O-QPSK modulation/demodulation,
-//! despreading, CNN inference and depth rendering.
+//! equalizer design and application, the shared per-packet decode,
+//! O-QPSK modulation/demodulation, despreading, CNN inference and depth
+//! rendering.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vvd_channel::{CirConfig, CirSynthesizer, Human, Room};
 use vvd_core::{build_vvd_cnn, VvdConfig};
-use vvd_estimation::ls::perfect_estimate;
+use vvd_estimation::decode::{decode_with_reference, EqualizerConfig};
+use vvd_estimation::ls::{perfect_estimate, preamble_estimate};
 use vvd_estimation::zf::ZfEqualizer;
 use vvd_nn::Tensor;
 use vvd_phy::oqpsk::{demodulate_chips, modulate_chips};
-use vvd_phy::{modulate_frame, PhyConfig, PsduBuilder};
+use vvd_phy::{modulate_frame, PhyConfig, PsduBuilder, Receiver};
 use vvd_testbed::campaign::{build_camera, build_scene};
 use vvd_vision::render_depth;
 
@@ -34,6 +36,10 @@ fn bench_phy(c: &mut Criterion) {
         let soft = tx.chips.clone();
         b.iter(|| vvd_phy::despread_symbols(&soft))
     });
+    let receiver = Receiver::new(cfg);
+    c.bench_function("phy/decode_aligned_packet", |b| {
+        b.iter(|| receiver.decode_aligned(tx.full_waveform(), &tx))
+    });
 }
 
 fn bench_estimation(c: &mut Criterion) {
@@ -47,7 +53,25 @@ fn bench_estimation(c: &mut Criterion) {
     c.bench_function("estimation/perfect_ls_11taps", |b| {
         b.iter(|| perfect_estimate(&tx, received.as_slice(), 11).unwrap())
     });
+    c.bench_function("estimation/preamble_ls_11taps", |b| {
+        b.iter(|| preamble_estimate(&tx, received.as_slice(), 11).unwrap())
+    });
     let estimate = perfect_estimate(&tx, received.as_slice(), 11).unwrap();
+    let reference = preamble_estimate(&tx, received.as_slice(), 11).unwrap();
+    let receiver = Receiver::new(cfg);
+    let eq_cfg = EqualizerConfig::default();
+    c.bench_function("estimation/decode_with_reference_packet", |b| {
+        b.iter(|| {
+            decode_with_reference(
+                &receiver,
+                &tx,
+                received.as_slice(),
+                &estimate,
+                Some(&reference),
+                &eq_cfg,
+            )
+        })
+    });
     c.bench_function("estimation/zf_design_21taps", |b| {
         b.iter(|| ZfEqualizer::design(&estimate, 21).unwrap())
     });

@@ -25,6 +25,7 @@ pub mod convolution;
 pub mod correlation;
 pub mod cvec;
 pub mod fir;
+pub mod reference;
 pub mod resample;
 pub mod solve;
 pub mod stats;
@@ -32,11 +33,13 @@ pub mod workers;
 
 pub use cmatrix::CMatrix;
 pub use complex::Complex;
-pub use convolution::{convolution_matrix, convolve, convolve_full};
+pub use convolution::{
+    convolution_matrix, convolution_normal_equations, convolve, convolve_full, convolve_window,
+};
 pub use correlation::{autocorrelation, autocorrelation_coefficients, cross_correlation};
 pub use cvec::CVec;
 pub use fir::FirFilter;
-pub use solve::{least_squares, solve_linear};
+pub use solve::{convolution_least_squares, least_squares, solve_linear};
 pub use workers::{
     autotune_dir, checkpoint_interval, per_process_worker_budget, pipeline_enabled, proc_budget,
     worker_budget,

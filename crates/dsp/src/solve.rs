@@ -9,11 +9,22 @@
 //!   (Yule–Walker, Eq. 14).
 //!
 //! Both are handled by a dense Gaussian elimination with partial pivoting on
-//! complex matrices.  Matrix sizes never exceed a few tens of taps, so the
-//! cubic cost is negligible and numerical behaviour is easy to reason about.
+//! complex matrices.  The systems never exceed a few tens of unknowns, so
+//! the elimination itself is cheap and its numerical behaviour easy to
+//! reason about.  Forming the normal equations is not: the perfect
+//! estimate's convolution matrix has one row per packet sample (9 742 for
+//! a 32-octet packet), and the dense Gram product `XᴴX`, N² dot products
+//! over every row, dominated the estimate's time.  The
+//! channel estimators and the equalizer design therefore go through
+//! [`convolution_least_squares`], which builds the same normal equations
+//! from the matrix's Toeplitz structure
+//! ([`crate::convolution::convolution_normal_equations`]); the dense
+//! [`least_squares`] stays for general matrices and as the reference those
+//! equations are tested against.
 
 use crate::cmatrix::CMatrix;
 use crate::complex::Complex;
+use crate::convolution::convolution_normal_equations;
 use crate::cvec::CVec;
 
 /// Errors returned by the linear solvers.
@@ -127,6 +138,24 @@ pub fn least_squares(a: &CMatrix, b: &CVec) -> Result<CVec, SolveError> {
     }
     let gram = a.gram();
     let rhs = a.hermitian_matvec(b);
+    solve_linear(&gram, &rhs)
+}
+
+/// Least-squares fit of an `n_taps` FIR filter that maps the reference `x`
+/// onto the observation `y` (Eq. 4): the solution of the normal equations
+/// of `convolution_matrix(x, n_taps)`, bit-identical to
+/// `least_squares(&convolution_matrix(x, n_taps), y)`.
+///
+/// # Errors
+/// Returns [`SolveError::DimensionMismatch`] when `x` is empty, `n_taps` is
+/// zero or `y.len() != x.len() + n_taps - 1`, and [`SolveError::Singular`]
+/// when the Gram matrix cannot be inverted (e.g. an all-zero reference).
+pub fn convolution_least_squares(
+    x: &[Complex],
+    n_taps: usize,
+    y: &[Complex],
+) -> Result<CVec, SolveError> {
+    let (gram, rhs) = convolution_normal_equations(x, n_taps, y)?;
     solve_linear(&gram, &rhs)
 }
 

@@ -94,8 +94,11 @@ pub fn decode_with_reference(
         Ok(eq) => eq,
         Err(_) => return lost(),
     };
-    let equalized = equalizer.equalize(received, tx.full_waveform().len());
-    receiver.decode_aligned(equalized.as_slice(), tx)
+    // Decoding scores only the PSDU, so only its samples are equalized.
+    let full_len = tx.full_waveform().len();
+    let psdu_start = receiver.psdu_sample_offset(tx).min(full_len);
+    let equalized = equalizer.equalize_range(received, psdu_start..full_len);
+    receiver.decode_psdu(equalized.as_slice(), tx)
 }
 
 #[cfg(test)]
@@ -204,6 +207,32 @@ mod tests {
         );
         assert!(with_alignment.chip_errors < without_alignment.chip_errors);
         assert!(with_alignment.crc_ok);
+    }
+
+    #[test]
+    fn equalizing_only_the_psdu_decodes_as_the_whole_packet_would() {
+        for (seed, noise, phase) in [(1, 0.0, 0.9), (3, 2.0e-5, 0.4), (13, 6.0e-4, -1.2)] {
+            let (cfg, tx, received, effective) = setup(seed, noise, phase);
+            let receiver = Receiver::new(cfg);
+            let eq_cfg = EqualizerConfig::default();
+            let reference = preamble_estimate(&tx, received.as_slice(), effective.len()).ok();
+            let aligned = align_mean_phase(&effective, reference.as_ref().unwrap()).0;
+            let whole = ZfEqualizer::design(&aligned, eq_cfg.equalizer_taps)
+                .unwrap()
+                .equalize(received.as_slice(), tx.full_waveform().len());
+            assert_eq!(
+                decode_with_reference(
+                    &receiver,
+                    &tx,
+                    received.as_slice(),
+                    &effective,
+                    reference.as_ref(),
+                    &eq_cfg,
+                ),
+                receiver.decode_aligned(whole.as_slice(), &tx),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! known: the whole packet for the "perfect" (ground-truth) estimate, the
 //! synchronisation header for the preamble-based estimate.
 
-use vvd_dsp::convolution::convolution_matrix;
-use vvd_dsp::solve::{least_squares, SolveError};
+use vvd_dsp::solve::{convolution_least_squares, SolveError};
 use vvd_dsp::{CVec, Complex, FirFilter};
 use vvd_phy::ModulatedFrame;
 
@@ -21,22 +20,24 @@ pub const PAPER_TAPS: usize = 11;
 /// is zero-padded if shorter (the trailing transient carries little energy).
 ///
 /// # Errors
-/// Propagates [`SolveError`] when the reference is degenerate (all zeros or
-/// shorter than the requested number of taps).
+/// Returns [`SolveError::DimensionMismatch`] for an empty reference or
+/// `n_taps == 0`, and [`SolveError::Singular`] when the reference is
+/// otherwise degenerate (all zeros or shorter than the requested number of
+/// taps).
 pub fn ls_estimate(
     reference: &[Complex],
     received: &[Complex],
     n_taps: usize,
 ) -> Result<FirFilter, SolveError> {
-    let x = convolution_matrix(reference, n_taps);
-    let needed = x.rows();
-    let mut y = CVec(received.to_vec());
-    if y.len() < needed {
-        y = y.resized(needed);
-    } else if y.len() > needed {
-        y = CVec(received[..needed].to_vec());
-    }
-    least_squares(&x, &y).map(FirFilter::new)
+    let needed = (reference.len() + n_taps).saturating_sub(1);
+    let padded;
+    let y = if received.len() >= needed {
+        &received[..needed]
+    } else {
+        padded = CVec(received.to_vec()).resized(needed);
+        padded.as_slice()
+    };
+    convolution_least_squares(reference, n_taps, y).map(FirFilter::new)
 }
 
 /// The paper's "perfect channel estimation" / ground truth: an LS fit using
@@ -144,6 +145,20 @@ mod tests {
         let reference = [Complex::ZERO; 8];
         let received = [Complex::ZERO; 10];
         assert!(ls_estimate(&reference, &received, 3).is_err());
+    }
+
+    #[test]
+    fn empty_reference_or_zero_taps_is_a_typed_error() {
+        let received = [Complex::ONE; 10];
+        assert_eq!(
+            ls_estimate(&[], &received, 3),
+            Err(SolveError::DimensionMismatch)
+        );
+        assert_eq!(
+            ls_estimate(&[Complex::ONE; 4], &received, 0),
+            Err(SolveError::DimensionMismatch)
+        );
+        assert_eq!(ls_estimate(&[], &[], 0), Err(SolveError::DimensionMismatch));
     }
 
     #[test]

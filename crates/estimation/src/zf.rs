@@ -6,8 +6,9 @@
 //! post-cursor taps).  The equalized signal is then re-aligned by that
 //! cascade delay before matched-filter demodulation.
 
-use vvd_dsp::convolution::convolution_matrix;
-use vvd_dsp::solve::{least_squares, SolveError};
+use std::ops::Range;
+use vvd_dsp::convolution::convolve_window;
+use vvd_dsp::solve::{convolution_least_squares, SolveError};
 use vvd_dsp::{CVec, Complex, FirFilter};
 
 /// A designed zero-forcing equalizer.
@@ -52,10 +53,13 @@ impl ZfEqualizer {
         }
         // H is the convolution matrix of the channel estimate for an
         // equalizer of length L: (L + N - 1) x L.
-        let h = convolution_matrix(channel_estimate.taps().as_slice(), equalizer_taps);
         let mut u = CVec::zeros(cascade_len);
         u[cascade_delay] = Complex::ONE;
-        let taps = least_squares(&h, &u)?;
+        let taps = convolution_least_squares(
+            channel_estimate.taps().as_slice(),
+            equalizer_taps,
+            u.as_slice(),
+        )?;
         Ok(ZfEqualizer {
             filter: FirFilter::new(taps),
             cascade_delay,
@@ -79,15 +83,20 @@ impl ZfEqualizer {
     /// transmitted waveform with the physical channel); the output is the
     /// estimate of the transmitted waveform.
     pub fn equalize(&self, received: &[Complex], output_len: usize) -> CVec {
-        let filtered = self.filter.filter_full(received);
-        let mut out = CVec::zeros(output_len);
-        for k in 0..output_len {
-            let idx = k + self.cascade_delay;
-            if idx < filtered.len() {
-                out[k] = filtered[idx];
-            }
-        }
-        out
+        self.equalize_range(received, 0..output_len)
+    }
+
+    /// Like [`ZfEqualizer::equalize`], but returns only the samples
+    /// `range` of the re-aligned output, bit-identical to
+    /// `equalize(received, range.end)[range]`.  A decoder that reads only
+    /// part of the packet filters only that part.
+    pub fn equalize_range(&self, received: &[Complex], range: Range<usize>) -> CVec {
+        convolve_window(
+            received,
+            self.filter.taps().as_slice(),
+            self.cascade_delay + range.start,
+            range.len(),
+        )
     }
 
     /// Residual inter-symbol interference of the cascade `ĥ * c` relative to
@@ -193,6 +202,21 @@ mod tests {
         let out = eq.equalize(&[Complex::ONE; 4], 10);
         assert_eq!(out.len(), 10);
         assert_eq!(out[9], Complex::ZERO);
+    }
+
+    #[test]
+    fn equalize_range_is_a_slice_of_equalize() {
+        let channel = multipath_channel();
+        let eq = ZfEqualizer::design(&channel, 21).unwrap();
+        let x: Vec<Complex> = (0..96)
+            .map(|i| c((i as f64 * 0.37).sin(), (i as f64 * 0.11).cos()))
+            .collect();
+        let received = channel.filter_full(&x);
+        let whole = eq.equalize(received.as_slice(), 120);
+        for (start, end) in [(0, 120), (32, 96), (90, 120), (64, 64)] {
+            let part = eq.equalize_range(received.as_slice(), start..end);
+            assert_eq!(part.as_slice(), &whole.as_slice()[start..end]);
+        }
     }
 
     #[test]

@@ -9,10 +9,16 @@
 //! on the CRC after despreading.
 
 use crate::config::CHIPS_PER_SYMBOL;
+use crate::pn::best_matching_symbol;
 use crate::symbols::{chips_to_symbols, count_chip_errors, symbols_to_octets};
 
 /// Soft chip decisions for one received PPDU together with the reference
 /// chip stream of the transmitted PPDU.
+///
+/// [`crate::Receiver::decode_aligned`] scores packets in one pass
+/// ([`despread_and_score`]); this two-pass accounting is the reference the
+/// property tests in `crates/phy/tests/despread_properties.rs` compare it
+/// against.
 #[derive(Debug, Clone)]
 pub struct ChipDecisions {
     /// Soft chip values recovered by the matched filter (one per chip).
@@ -72,6 +78,23 @@ impl ChipDecisions {
             .count()
             + reference_symbols.len().saturating_sub(decoded.len())
     }
+}
+
+/// Despreads a soft chip stream and scores it against the transmitted
+/// symbols in one pass: returns the despread symbols (whole 32-chip blocks
+/// only) and the number of symbol errors, counted as
+/// [`ChipDecisions::psdu_symbol_errors`] counts them (mismatches, plus
+/// reference symbols with no despread counterpart).
+pub fn despread_and_score(soft_chips: &[f64], reference_symbols: &[u8]) -> (Vec<u8>, usize) {
+    let blocks = soft_chips.chunks_exact(CHIPS_PER_SYMBOL);
+    let mut symbols = Vec::with_capacity(blocks.len());
+    let mut errors = reference_symbols.len().saturating_sub(blocks.len());
+    for (k, block) in blocks.enumerate() {
+        let symbol = best_matching_symbol(block);
+        errors += usize::from(reference_symbols.get(k).is_some_and(|&r| r != symbol));
+        symbols.push(symbol);
+    }
+    (symbols, errors)
 }
 
 /// Despreads a soft chip stream into 4-bit symbols (whole 32-chip blocks

@@ -37,7 +37,7 @@ pub mod receiver;
 pub mod symbols;
 
 pub use config::PhyConfig;
-pub use despread::{despread_symbols, ChipDecisions};
+pub use despread::{despread_and_score, despread_symbols, ChipDecisions};
 pub use frame::{Frame, PsduBuilder};
 pub use modulator::{modulate_frame, ModulatedFrame};
 pub use receiver::{DecodeOutcome, Receiver, SyncResult};

@@ -21,48 +21,54 @@ const SYMBOL0: [u8; CHIPS_PER_SYMBOL] = [
 ///
 /// # Panics
 /// Panics if `symbol >= 16`.
-pub fn chip_sequence(symbol: u8) -> [u8; CHIPS_PER_SYMBOL] {
+pub const fn chip_sequence(symbol: u8) -> [u8; CHIPS_PER_SYMBOL] {
     assert!(symbol < 16, "data symbols are 4 bits");
     let base_shift = (symbol as usize % 8) * 4;
     let mut chips = [0u8; CHIPS_PER_SYMBOL];
-    for (i, chip) in chips.iter_mut().enumerate() {
+    let mut i = 0;
+    while i < CHIPS_PER_SYMBOL {
         // Cyclic right shift by base_shift: output[i] = SYMBOL0[(i - shift) mod 32]
         let src = (i + CHIPS_PER_SYMBOL - base_shift) % CHIPS_PER_SYMBOL;
-        *chip = SYMBOL0[src];
-    }
-    if symbol >= 8 {
-        // Invert odd-indexed chips (the Q-rail chips).
-        for (i, chip) in chips.iter_mut().enumerate() {
-            if i % 2 == 1 {
-                *chip ^= 1;
-            }
+        chips[i] = SYMBOL0[src];
+        // Symbols 8-15 invert the odd-indexed chips (the Q-rail chips).
+        if symbol >= 8 && i % 2 == 1 {
+            chips[i] ^= 1;
         }
+        i += 1;
     }
     chips
 }
 
+/// All 16 sequences mapped to antipodal values (`0 → -1.0`, `1 → +1.0`),
+/// indexed by symbol value; built once, at compile time.
+const BIPOLAR: [[f64; CHIPS_PER_SYMBOL]; 16] = {
+    let mut out = [[0.0; CHIPS_PER_SYMBOL]; 16];
+    let mut s = 0;
+    while s < 16 {
+        let chips = chip_sequence(s as u8);
+        let mut i = 0;
+        while i < CHIPS_PER_SYMBOL {
+            out[s][i] = if chips[i] == 1 { 1.0 } else { -1.0 };
+            i += 1;
+        }
+        s += 1;
+    }
+    out
+};
+
 /// Returns the chip sequence mapped to antipodal values (`0 → -1.0`,
 /// `1 → +1.0`), the form used for modulation and correlation.
+///
+/// # Panics
+/// Panics if `symbol >= 16`.
 pub fn chip_sequence_bipolar(symbol: u8) -> [f64; CHIPS_PER_SYMBOL] {
-    let chips = chip_sequence(symbol);
-    let mut out = [0.0; CHIPS_PER_SYMBOL];
-    for (o, c) in out.iter_mut().zip(chips.iter()) {
-        *o = if *c == 1 { 1.0 } else { -1.0 };
-    }
-    out
-}
-
-/// All 16 bipolar sequences, indexed by symbol value.
-pub fn all_sequences_bipolar() -> [[f64; CHIPS_PER_SYMBOL]; 16] {
-    let mut out = [[0.0; CHIPS_PER_SYMBOL]; 16];
-    for (s, row) in out.iter_mut().enumerate() {
-        *row = chip_sequence_bipolar(s as u8);
-    }
-    out
+    assert!(symbol < 16, "data symbols are 4 bits");
+    BIPOLAR[symbol as usize]
 }
 
 /// Correlates a block of 32 soft chip values against every PN sequence and
-/// returns the index of the best match (the despread symbol).
+/// returns the index of the best match (the despread symbol).  Ties go to
+/// the lowest symbol value.
 ///
 /// # Panics
 /// Panics if `soft_chips.len() != 32`.
@@ -70,8 +76,7 @@ pub fn best_matching_symbol(soft_chips: &[f64]) -> u8 {
     assert_eq!(soft_chips.len(), CHIPS_PER_SYMBOL, "one symbol is 32 chips");
     let mut best_sym = 0u8;
     let mut best_corr = f64::NEG_INFINITY;
-    for sym in 0..16u8 {
-        let seq = chip_sequence_bipolar(sym);
+    for (sym, seq) in (0u8..).zip(&BIPOLAR) {
         let corr: f64 = seq.iter().zip(soft_chips.iter()).map(|(a, b)| a * b).sum();
         if corr > best_corr {
             best_corr = corr;

@@ -18,10 +18,10 @@
 
 use crate::config::PhyConfig;
 use crate::crc::check_fcs;
-use crate::despread::ChipDecisions;
+use crate::despread::despread_and_score;
 use crate::modulator::ModulatedFrame;
 use crate::oqpsk::demodulate_chips;
-use crate::symbols::symbols_to_octets;
+use crate::symbols::{count_chip_errors, symbols_to_octets};
 use vvd_dsp::correlation::normalized_correlation_at;
 use vvd_dsp::{CVec, Complex};
 
@@ -140,25 +140,37 @@ impl Receiver {
     /// Decodes an already equalized-and-aligned waveform of the packet `tx`:
     /// matched-filter chip demodulation, PN despreading, FCS check and error
     /// accounting against the known transmitted content.
+    ///
+    /// Only the PSDU is scored, so only the samples from the first PSDU
+    /// chip on are read (see [`Receiver::decode_psdu`]).
     pub fn decode_aligned(&self, waveform: &[Complex], tx: &ModulatedFrame) -> DecodeOutcome {
-        let n_chips = tx.n_chips();
-        let soft = self.demodulate(waveform, n_chips);
-        let decisions = ChipDecisions {
-            soft_chips: soft,
-            reference_chips: tx.chips.clone(),
-            psdu_chip_offset: tx.psdu_chip_offset(),
-        };
-        let chip_errors = decisions.psdu_chip_errors();
-        let chip_count = decisions.psdu_chip_count();
-        let decoded_symbols = decisions.psdu_symbols();
-        let reference_symbols = tx.frame.psdu_symbols();
-        let symbol_errors = decisions.psdu_symbol_errors(&reference_symbols);
-        let octets = symbols_to_octets(&decoded_symbols);
+        let start = self.psdu_sample_offset(tx).min(waveform.len());
+        self.decode_psdu(&waveform[start..], tx)
+    }
+
+    /// Index of the first sample the PSDU's chips are read from in a
+    /// waveform aligned to the PPDU start.
+    pub fn psdu_sample_offset(&self, tx: &ModulatedFrame) -> usize {
+        tx.psdu_chip_offset() * self.cfg.samples_per_chip
+    }
+
+    /// [`Receiver::decode_aligned`] on a waveform that starts at
+    /// [`Receiver::psdu_sample_offset`]: the PSDU chips are demodulated,
+    /// hard-decided against the transmitted chips and despread in one pass,
+    /// and the outcome is bit-identical to the full-waveform decode.  (The
+    /// PSDU starts on a symbol boundary, so its first chip is an I-rail
+    /// chip in both timelines.)
+    pub fn decode_psdu(&self, psdu_waveform: &[Complex], tx: &ModulatedFrame) -> DecodeOutcome {
+        let reference_chips = tx.psdu_chips();
+        let soft = self.demodulate(psdu_waveform, reference_chips.len());
+        let chip_errors = count_chip_errors(reference_chips, &soft);
+        let (symbols, symbol_errors) = despread_and_score(&soft, &tx.frame.psdu_symbols());
+        let octets = symbols_to_octets(&symbols);
         let crc_ok = octets.len() == tx.frame.psdu.len() && check_fcs(&octets);
         DecodeOutcome {
             crc_ok,
             chip_errors,
-            chip_count,
+            chip_count: reference_chips.len(),
             symbol_errors,
         }
     }
